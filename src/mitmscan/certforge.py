@@ -15,7 +15,7 @@ from pathlib import Path
 
 from cryptography import x509
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.x509.oid import NameOID
 
@@ -121,10 +121,6 @@ def key_pem(key: Ed25519PrivateKey) -> bytes:
         serialization.PrivateFormat.PKCS8,
         serialization.NoEncryption(),
     )
-
-
-def parse_cert_pem(pem: bytes) -> x509.Certificate:
-    return x509.load_pem_x509_certificate(pem)
 
 
 def is_valid_san(entry: str) -> bool:
@@ -260,30 +256,13 @@ def verify_signature(cert: x509.Certificate, issuer_cert: x509.Certificate) -> b
         return False
 
 
-def verify_chain(leaf: LeafCertificate, store: TrustStore, now: datetime.datetime) -> bool:
-    """True iff issuer is in the store, the signature verifies, and now is in validity."""
-    try:
-        if leaf.issuer not in store:
-            return False
-        if not verify_signature(leaf.cert, leaf.issuer.self_signed_cert):
-            return False
-        not_before = leaf.cert.not_valid_before_utc
-        not_after = leaf.cert.not_valid_after_utc
-        return not_before <= now <= not_after
-    except Exception as exc:
-        log.warning("verify_chain failed on malformed input: %s", exc)
-        return False
-
-
-def verify_der_chain(
-    chain_der: list[bytes], store: TrustStore, now: datetime.datetime
+def verify_chain(
+    chain: list[x509.Certificate], store: TrustStore, now: datetime.datetime
 ) -> bool:
-    """Chain check over raw DER certs, as a wire-side client would see them."""
-    try:
-        leaf = x509.load_der_x509_certificate(chain_der[0])
-    except Exception as exc:
-        log.warning("malformed leaf certificate: %s", exc)
+    """What correct platform validation concludes: anchored, signed, in date."""
+    if not chain:
         return False
+    leaf = chain[0]
     root = store.find_issuer(leaf)
     if root is None:
         return False
@@ -292,14 +271,20 @@ def verify_der_chain(
     return leaf.not_valid_before_utc <= now <= leaf.not_valid_after_utc
 
 
-def cert_dns_names(cert: x509.Certificate) -> list[str]:
-    """CN plus SAN DNS entries, lowercased."""
-    names: list[str] = []
-    for attr in cert.subject.get_attributes_for_oid(NameOID.COMMON_NAME):
-        names.append(str(attr.value).lower())
+def cert_san_names(cert: x509.Certificate) -> list[str]:
+    """SAN DNS entries, lowercased: the only names a correct hostname check
+    matches, since RFC 6125 ignores the CN when a SAN is present."""
     try:
         san = cert.extensions.get_extension_for_class(x509.SubjectAlternativeName)
-        names.extend(n.lower() for n in san.value.get_values_for_type(x509.DNSName))
     except x509.ExtensionNotFound:
-        pass
-    return names
+        return []
+    return [n.lower() for n in san.value.get_values_for_type(x509.DNSName)]
+
+
+def cert_dns_names(cert: x509.Certificate) -> list[str]:
+    """CN plus SAN DNS entries, lowercased."""
+    names = [
+        str(attr.value).lower()
+        for attr in cert.subject.get_attributes_for_oid(NameOID.COMMON_NAME)
+    ]
+    return names + cert_san_names(cert)

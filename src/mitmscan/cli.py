@@ -13,18 +13,15 @@ import urllib.request
 from pathlib import Path
 
 from . import appsim, classifier, fleet, locator, metrics, party
-from .certforge import CertConfig
+from .certforge import CertConfig, cert_dns_names
 from .engine import FROZEN_WALL_TS, MitmEngine, MitmMaterial, forge_for
-from .flowledger import POLICY_ALIASES, FlowLedger
-from .profiles import cert_dns_names
+from .flowledger import POLICY_ALIASES, TESTS, FlowLedger
 
 log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
-
-TESTS = ("T1", "T2", "T3")
 
 
 class ConfigError(Exception):
@@ -69,7 +66,7 @@ def _load_scan_config(args) -> appsim.ScanConfig:
         raise ConfigError(f"invalid scan config: {exc}") from exc
 
 
-def _event_for_flow(rec, app, material) -> locator.ValidationEvent:
+def _event_for_flow(rec, material) -> locator.ValidationEvent:
     """Self-reported validation event mirroring what instrumentation would log."""
     accepted = rec.outcome == "vulnerable"
     if rec.channel == "webview":
@@ -100,6 +97,7 @@ def _event_for_flow(rec, app, material) -> locator.ValidationEvent:
 
 def cmd_scan(args) -> int:
     config, allowlist = _load_scan_config(args)
+    llm = _llm_backend_from_env() if config.strategy == "external_llm" else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
@@ -159,6 +157,7 @@ def cmd_scan(args) -> int:
                     material.client_store,
                     now,
                     script=script,
+                    llm=llm,
                 )
                 stats = per_app[app.app_id]
                 stats["steps"] += session.steps_taken
@@ -167,8 +166,7 @@ def cmd_scan(args) -> int:
         for rec in ledger.records():
             if rec.outcome == "skipped":
                 continue
-            app = next(a for a in apps if a.app_id == rec.app_id)
-            events.append(_event_for_flow(rec, app, material))
+            events.append(_event_for_flow(rec, material))
             if rec.outcome == "vulnerable":
                 vuln = per_app[rec.app_id]["vulnerable"].setdefault(test, [])
                 entry = {"fqdn": rec.fqdn, "channel": rec.channel}
@@ -240,7 +238,7 @@ def _llm_backend_from_env():
     model = os.environ.get("MITMSCAN_LLM_MODEL")
     if not endpoint or not model:
         raise ConfigError(
-            "--backend llm needs MITMSCAN_LLM_ENDPOINT and MITMSCAN_LLM_MODEL"
+            "the llm backend needs MITMSCAN_LLM_ENDPOINT and MITMSCAN_LLM_MODEL"
         )
     api_key = os.environ.get("MITMSCAN_LLM_API_KEY", "")
 

@@ -29,21 +29,17 @@ from .certforge import (
     LeafCertificate,
     RootAuthority,
     TrustStore,
-    cert_pem,
     issue_leaf,
     key_pem,
     make_root,
 )
-from .flowledger import DedupKey, FlowLedger, FlowRecord
-from .profiles import ClientProfile, client_accepts
+from .flowledger import TESTS, DedupKey, FlowLedger, FlowRecord
 
 log = logging.getLogger(__name__)
 
 ATTACKER_NAME = "attacker.invalid"
 DEFAULT_GRACE_SECONDS = 3.0
 FROZEN_WALL_TS = "2025-04-01T00:00:00+00:00"
-
-TEST_KINDS = ("T1", "T2", "T3")
 
 
 @dataclass
@@ -55,6 +51,11 @@ class MitmMaterial:
     installed_root: RootAuthority
     client_store: TrustStore
     config: CertConfig = field(default_factory=CertConfig)
+    # (issuing root name, leaf name) -> leaf. Issuance is deterministic, so a
+    # race between handler threads at worst signs an identical leaf twice.
+    _leaves: dict[tuple[str, str], LeafCertificate] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def generate(cls, config: CertConfig | None = None) -> "MitmMaterial":
@@ -70,64 +71,32 @@ class MitmMaterial:
             config=config,
         )
 
+    def leaf_for(self, root: RootAuthority, name: str) -> LeafCertificate:
+        """The 90-day leaf ``root`` issues for ``name``, signed once per material."""
+        key = (root.name, name)
+        leaf = self._leaves.get(key)
+        if leaf is None:
+            leaf = self._leaves[key] = issue_leaf(root, name, [name], 90, self.config)
+        return leaf
+
 
 def forge_for(test: str, target_fqdn: str, material: MitmMaterial) -> LeafCertificate:
     """The forged leaf a given test presents for a target destination."""
-    if test not in TEST_KINDS:
+    if test not in TESTS:
         raise ValueError(f"unknown test kind: {test}")
     for attr in ("untrusted_root", "lab_trusted_root", "installed_root"):
         if getattr(material, attr, None) is None:
             raise CertSetupError(f"material missing {attr}")
     if test == "T1":
-        return issue_leaf(
-            material.untrusted_root, target_fqdn, [target_fqdn], 90, material.config
-        )
+        return material.leaf_for(material.untrusted_root, target_fqdn)
     if test == "T2":
-        return issue_leaf(
-            material.lab_trusted_root, ATTACKER_NAME, [ATTACKER_NAME], 90, material.config
-        )
-    return issue_leaf(
-        material.installed_root, target_fqdn, [target_fqdn], 90, material.config
-    )
+        return material.leaf_for(material.lab_trusted_root, ATTACKER_NAME)
+    return material.leaf_for(material.installed_root, target_fqdn)
 
 
 def legit_for(target_fqdn: str, material: MitmMaterial) -> LeafCertificate:
     """A correct-name, trusted-chain leaf, presented when a test is skipped."""
-    return issue_leaf(
-        material.lab_trusted_root, target_fqdn, [target_fqdn], 90, material.config
-    )
-
-
-def expected_outcome(
-    profile: ClientProfile,
-    test: str,
-    presented: LeafCertificate,
-    requested_fqdn: str,
-    store: TrustStore,
-    channel: str = "native",
-    now: datetime.datetime | None = None,
-) -> str:
-    """Ground-truth oracle: "vulnerable" or "secure" for one profile x test."""
-    now = now or presented.issuer.self_signed_cert.not_valid_before_utc + datetime.timedelta(days=2)
-    chain = [presented.cert, presented.issuer.self_signed_cert]
-    accepted = client_accepts(profile, chain, requested_fqdn, channel, store, now)
-    return "vulnerable" if accepted else "secure"
-
-
-@dataclass
-class InterceptResult:
-    app_id: str
-    fqdn: str
-    channel: str
-    test: str
-    outcome: str
-    handshake_completed: bool
-    client_sent_data: bool
-    failure_stage: str | None = None  # pre_cert | post_cert_alert | timeout
-
-    def __post_init__(self):
-        if self.handshake_completed and self.failure_stage is not None:
-            raise ValueError("completed handshakes carry no failure stage")
+    return material.leaf_for(material.lab_trusted_root, target_fqdn)
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -155,7 +124,7 @@ class MitmEngine:
         grace_seconds: float = DEFAULT_GRACE_SECONDS,
         freeze_time: bool = False,
     ):
-        if test not in TEST_KINDS:
+        if test not in TESTS:
             raise ValueError(f"unknown test kind: {test}")
         self.material = material
         self.test = test
@@ -163,9 +132,9 @@ class MitmEngine:
         self.ledger = ledger
         self.grace_seconds = grace_seconds
         self.freeze_time = freeze_time
-        self.results: list[InterceptResult] = []
         self.observed_app_ids: set[str] = set()
-        self._contexts: dict[tuple[str, bool], ssl.SSLContext] = {}
+        # (fqdn, forged) -> the SSLContext serving a leaf, and that leaf's chain PEM.
+        self._contexts: dict[tuple[str, bool], tuple[ssl.SSLContext, str]] = {}
         self._tmpdir = tempfile.TemporaryDirectory(prefix="mitmscan-engine-")
         self._server: _Server | None = None
         self._thread: threading.Thread | None = None
@@ -203,7 +172,7 @@ class MitmEngine:
 
     # -- per-connection flow -----------------------------------------------
 
-    def _context_for(self, fqdn: str, forged: bool) -> ssl.SSLContext:
+    def _context_for(self, fqdn: str, forged: bool) -> tuple[ssl.SSLContext, str]:
         key = (fqdn, forged)
         if key not in self._contexts:
             leaf = (
@@ -211,23 +180,16 @@ class MitmEngine:
                 if forged
                 else legit_for(fqdn, self.material)
             )
+            chain_pem = leaf.chain_pem()
             base = Path(self._tmpdir.name) / f"{len(self._contexts)}"
             chain_path = base.with_suffix(".pem")
             key_path = base.with_suffix(".key")
-            chain_path.write_bytes(leaf.chain_pem())
+            chain_path.write_bytes(chain_pem)
             key_path.write_bytes(key_pem(leaf.key_pair))
             ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
             ctx.load_cert_chain(str(chain_path), str(key_path))
-            self._contexts[key] = ctx
+            self._contexts[key] = (ctx, chain_pem.decode())
         return self._contexts[key]
-
-    def _chain_pem_for(self, fqdn: str, forged: bool) -> bytes:
-        leaf = (
-            forge_for(self.test, fqdn, self.material)
-            if forged
-            else legit_for(fqdn, self.material)
-        )
-        return leaf.chain_pem()
 
     def _handle_connection(self, sock: socket.socket) -> None:
         sock.settimeout(max(self.grace_seconds * 4, 5.0))
@@ -247,53 +209,30 @@ class MitmEngine:
                 DedupKey(app_id, fqdn), self.policy, self.test
             )
             forged = decision == "test"
+            ctx, chain_pem = self._context_for(fqdn, forged)
             sock.sendall(
-                json.dumps(
-                    {
-                        "action": decision,
-                        "chain_pem": self._chain_pem_for(fqdn, forged).decode(),
-                    }
-                ).encode()
-                + b"\n"
+                json.dumps({"action": decision, "chain_pem": chain_pem}).encode() + b"\n"
             )
-            result = self._run_tls(sock, fqdn, forged)
+            result = self._run_tls(sock, ctx)
             outcome = "skipped" if not forged else result.outcome
             self._record(app_id, fqdn, channel, outcome, result)
-            if forged:
-                self.results.append(
-                    InterceptResult(
-                        app_id=app_id,
-                        fqdn=fqdn,
-                        channel=channel,
-                        test=self.test,
-                        outcome=result.outcome,
-                        handshake_completed=result.handshake_completed,
-                        client_sent_data=result.client_sent_data,
-                        failure_stage=result.failure_stage,
-                    )
-                )
 
     @dataclass
     class _TlsResult:
         outcome: str
-        handshake_completed: bool
-        client_sent_data: bool
-        failure_stage: str | None
         tls_version: str = "unknown"
 
-    def _run_tls(self, sock: socket.socket, fqdn: str, forged: bool) -> "_TlsResult":
-        ctx = self._context_for(fqdn, forged)
+    def _run_tls(self, sock: socket.socket, ctx: ssl.SSLContext) -> "_TlsResult":
         try:
             tls = ctx.wrap_socket(sock, server_side=True)
         except ssl.SSLError as exc:
             # The certificate flight was already sent; an alert here is the
             # client rejecting it.
             log.debug("post-certificate alert from client: %s", exc)
-            return self._TlsResult("secure", False, False, "post_cert_alert")
+            return self._TlsResult("secure")
         except (ConnectionError, socket.timeout, OSError) as exc:
             log.debug("pre-certificate transport failure: %s", exc)
-            stage = "timeout" if isinstance(exc, socket.timeout) else "pre_cert"
-            return self._TlsResult("inconclusive", False, False, stage)
+            return self._TlsResult("inconclusive")
 
         version = {"TLSv1.2": "TLS1.2", "TLSv1.3": "TLS1.3"}.get(
             tls.version() or "", "unknown"
@@ -303,7 +242,7 @@ class MitmEngine:
             data = tls.recv(4096)
         except socket.timeout:
             # Connection idles open with no application data: no evidence.
-            return self._TlsResult("inconclusive", True, False, None, version)
+            return self._TlsResult("inconclusive", version)
         except (ssl.SSLError, ConnectionError, OSError):
             data = b""
         if data:
@@ -312,10 +251,10 @@ class MitmEngine:
                 tls.close()
             except (ssl.SSLError, ConnectionError, OSError):
                 pass
-            return self._TlsResult("vulnerable", True, True, None, version)
+            return self._TlsResult("vulnerable", version)
         # Clean close right after the handshake: the client aborted on the
         # certificate it saw.
-        return self._TlsResult("secure", True, False, None, version)
+        return self._TlsResult("secure", version)
 
     def _record(
         self, app_id: str, fqdn: str, channel: str, outcome: str, tls: "_TlsResult"
@@ -338,22 +277,6 @@ class MitmEngine:
                 outcome=outcome,
             )
         )
-
-    # -- reporting -----------------------------------------------------------
-
-    def summary(self) -> dict:
-        """Vulnerable (app, fqdn, test) triples seen by this engine run."""
-        vulnerable = sorted(
-            {(r.app_id, r.fqdn) for r in self.results if r.outcome == "vulnerable"}
-        )
-        return {
-            "test": self.test,
-            "policy": self.policy,
-            "vulnerable": [
-                {"app_id": a, "fqdn": f, "test": self.test} for a, f in vulnerable
-            ],
-            "flows_tested": len(self.results),
-        }
 
 
 def parse_chain_pem(pem: str) -> list[x509.Certificate]:

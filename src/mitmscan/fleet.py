@@ -9,6 +9,7 @@ from pathlib import Path
 from .appsim import Action, FlowSpec, Screen, SyntheticApp
 from .certforge import fingerprint
 from .engine import MitmMaterial, forge_for, legit_for
+from .flowledger import TESTS
 from .profiles import ClientProfile, client_accepts
 
 
@@ -167,7 +168,7 @@ def expected_truth_table(
     table = {}
     for app in apps:
         for fqdn in app.fqdns():
-            for test in ("T1", "T2", "T3"):
+            for test in TESTS:
                 leaf = forge_for(test, fqdn, material)
                 chain = [leaf.cert, leaf.issuer.self_signed_cert]
                 for channel in ("native", "webview"):

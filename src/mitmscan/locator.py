@@ -101,8 +101,13 @@ def match_cert_names(fqdn: str, names: list[str]) -> bool:
 
 
 def _event_matches_flow(event: ValidationEvent, flow: FlowRecord) -> str | None:
-    """Returns the passive match mode linking event to flow, or None."""
-    if event.app_id != flow.app_id:
+    """Returns the passive match mode linking event to flow, or None.
+
+    An event links only to flows of its own channel: webview client events to
+    webview flows, trust manager and hostname verifier events to native flows.
+    """
+    channel = "webview" if event.interface_kind == "webview_client" else "native"
+    if event.app_id != flow.app_id or channel != flow.channel:
         return None
     if event.hostname_param is not None:
         if normalize_fqdn(event.hostname_param) == flow.fqdn:
@@ -188,46 +193,25 @@ def coverage(
     for attribution in attributions:
         attributed |= attribution.matched_flows
 
+    located = [f for f in vulnerable_flows if f.identity in attributed]
     vuln_fqdns = {(f.app_id, f.fqdn) for f in vulnerable_flows}
-    located_fqdns = {
-        (f.app_id, f.fqdn) for f in vulnerable_flows if f.identity in attributed
-    }
-    vuln_apps = {f.app_id for f in vulnerable_flows if f.app_id in set(apps)}
+    located_fqdns = {(f.app_id, f.fqdn) for f in located}
+
+    # app -> whether each of its vulnerable flows was located.
+    app_set = set(apps)
+    located_by_app: dict[str, list[bool]] = {}
+    for f in vulnerable_flows:
+        if f.app_id in app_set:
+            located_by_app.setdefault(f.app_id, []).append(f.identity in attributed)
 
     def ratio(num: int, den: int) -> Fraction | None:
         return None if den == 0 else Fraction(num, den)
 
-    app_all = app_one = None
-    if vuln_apps:
-        all_located = sum(
-            1
-            for app in vuln_apps
-            if all(
-                f.identity in attributed
-                for f in vulnerable_flows
-                if f.app_id == app
-            )
-        )
-        one_located = sum(
-            1
-            for app in vuln_apps
-            if any(
-                f.identity in attributed
-                for f in vulnerable_flows
-                if f.app_id == app
-            )
-        )
-        app_all = Fraction(all_located, len(vuln_apps))
-        app_one = Fraction(one_located, len(vuln_apps))
-
     return CoverageReport(
         fqdn_cov=ratio(len(located_fqdns), len(vuln_fqdns)),
-        flow_cov=ratio(
-            sum(1 for f in vulnerable_flows if f.identity in attributed),
-            len(vulnerable_flows),
-        ),
-        app_all=app_all,
-        app_one=app_one,
+        flow_cov=ratio(len(located), len(vulnerable_flows)),
+        app_all=ratio(sum(all(v) for v in located_by_app.values()), len(located_by_app)),
+        app_one=ratio(sum(any(v) for v in located_by_app.values()), len(located_by_app)),
     )
 
 

@@ -15,7 +15,13 @@ from cryptography import x509
 from cryptography.x509.oid import NameOID
 
 from . import certforge
-from .certforge import TrustStore, verify_signature, cert_dns_names
+from .certforge import (
+    TrustStore,
+    cert_dns_names,
+    cert_san_names,
+    verify_chain,
+    verify_signature,
+)
 from .locator import match_cert_names
 
 TRUST_BEHAVIORS = ("T0", "T1", "T2A", "T2B", "T2C", "T2D", "T2E", "T2F")
@@ -84,21 +90,6 @@ def _issuer_cn(cert: x509.Certificate) -> str:
     return str(attrs[0].value) if attrs else ""
 
 
-def _platform_chain_valid(
-    chain: list[x509.Certificate], store: TrustStore, now: datetime.datetime
-) -> bool:
-    """What correct platform validation would conclude: anchored, signed, in date."""
-    if not chain:
-        return False
-    leaf = chain[0]
-    root = store.find_issuer(leaf)
-    if root is None:
-        return False
-    if not verify_signature(leaf, root.self_signed_cert):
-        return False
-    return leaf.not_valid_before_utc <= now <= leaf.not_valid_after_utc
-
-
 def trust_accepts(
     profile: ClientProfile,
     chain: list[x509.Certificate],
@@ -110,7 +101,7 @@ def trust_accepts(
         return False
     leaf = chain[0]
     if behavior == "T0":
-        return _platform_chain_valid(chain, store, now)
+        return verify_chain(chain, store, now)
     if behavior == "T1":
         # Empty check body: everything passes.
         return True
@@ -143,7 +134,7 @@ def trust_accepts(
         trusted = {s.lower() for s in profile.condition_params["trusted_issuers"]}
         if _issuer_cn(leaf).lower() in trusted:
             return True
-        return _platform_chain_valid(chain, store, now)
+        return verify_chain(chain, store, now)
     raise AssertionError(behavior)
 
 
@@ -151,9 +142,8 @@ def hostname_accepts(
     profile: ClientProfile, leaf: x509.Certificate, requested_fqdn: str
 ) -> bool:
     behavior = profile.hostname_behavior
-    names = cert_dns_names(leaf)
     if behavior == "H0":
-        return match_cert_names(requested_fqdn, names)
+        return match_cert_names(requested_fqdn, cert_san_names(leaf))
     if behavior == "H1":
         return True
     if behavior == "H2A":
@@ -167,7 +157,7 @@ def hostname_accepts(
         # "substring": indexOf-style check in either direction.
         mode = profile.condition_params["match_mode"]
         fqdn = requested_fqdn.lower()
-        for name in names:
+        for name in cert_dns_names(leaf):
             if name.startswith("*."):
                 name = name[2:]
             if mode == "substring":
@@ -186,9 +176,9 @@ def induced_ssl_error(
     now: datetime.datetime,
 ) -> int | None:
     """The SslError code a platform webview would raise, or None if the page loads."""
-    if not _platform_chain_valid(chain, store, now):
+    if not verify_chain(chain, store, now):
         return ERROR_UNTRUSTED
-    if not chain or not match_cert_names(requested_fqdn, cert_dns_names(chain[0])):
+    if not match_cert_names(requested_fqdn, cert_san_names(chain[0])):
         return ERROR_MISMATCH
     return None
 
@@ -240,16 +230,3 @@ def client_accepts(
     return trust_accepts(profile, chain, store, now) and hostname_accepts(
         profile, chain[0] if chain else None, requested_fqdn
     )
-
-
-def client_validate(
-    profile: ClientProfile,
-    chain: list[x509.Certificate],
-    requested_fqdn: str,
-    store: TrustStore,
-    now: datetime.datetime | None = None,
-) -> str:
-    """Native-channel validation verdict: "accept" or "reject"."""
-    now = now or datetime.datetime.now(datetime.timezone.utc)
-    ok = client_accepts(profile, chain, requested_fqdn, "native", store, now)
-    return "accept" if ok else "reject"

@@ -376,7 +376,7 @@ def test_certificate_properties(capsys):
         leaf = issue_leaf(ca, "p.example.com", ["p.example.com"], rng.randint(1, 60), cfg)
         now = cfg.now + datetime.timedelta(days=rng.randint(-40, 80))
         in_window = leaf.not_before <= now <= leaf.not_after
-        if verify_chain(leaf, store, now) != (in_store and in_window):
+        if verify_chain([leaf.cert], store, now) != (in_store and in_window):
             failures += 1
     _report(
         capsys,

@@ -16,7 +16,6 @@ from mitmscan.certforge import (
     issue_leaf,
     make_root,
     verify_chain,
-    verify_der_chain,
     verify_signature,
 )
 
@@ -100,25 +99,10 @@ def test_verify_chain_time_window():
     ca = make_root("ca", trusted=True, config=cfg)
     store = TrustStore([ca])
     leaf = issue_leaf(ca, "example.com", ["example.com"], 10, cfg)
-    assert verify_chain(leaf, store, cfg.now)
-    assert not verify_chain(leaf, store, cfg.now + datetime.timedelta(days=11))
-    assert not verify_chain(leaf, store, cfg.now - datetime.timedelta(days=2))
-    assert not verify_chain(leaf, TrustStore(), cfg.now)
-
-
-def test_verify_der_chain_matches_object_form():
-    cfg = CertConfig(seed=5)
-    ca = make_root("ca", trusted=True, config=cfg)
-    store = TrustStore([ca])
-    leaf = issue_leaf(ca, "example.com", ["example.com"], 10, cfg)
-    from cryptography.hazmat.primitives import serialization
-
-    der = [
-        leaf.cert.public_bytes(serialization.Encoding.DER),
-        ca.self_signed_cert.public_bytes(serialization.Encoding.DER),
-    ]
-    assert verify_der_chain(der, store, cfg.now)
-    assert not verify_der_chain([b"garbage"], store, cfg.now)
+    assert verify_chain([leaf.cert], store, cfg.now)
+    assert not verify_chain([leaf.cert], store, cfg.now + datetime.timedelta(days=11))
+    assert not verify_chain([leaf.cert], store, cfg.now - datetime.timedelta(days=2))
+    assert not verify_chain([leaf.cert], TrustStore(), cfg.now)
 
 
 def test_fingerprint_shape():
@@ -149,4 +133,4 @@ def test_verify_chain_iff_issuer_and_window(seed, in_store, day_offset):
     leaf = issue_leaf(ca, "p.example.com", ["p.example.com"], 14, cfg)
     now = cfg.now + datetime.timedelta(days=day_offset)
     in_window = leaf.not_before <= now <= leaf.not_after
-    assert verify_chain(leaf, store, now) == (in_store and in_window)
+    assert verify_chain([leaf.cert], store, now) == (in_store and in_window)

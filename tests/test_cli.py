@@ -1,9 +1,12 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
 
+from mitmscan import cli
 from mitmscan.cli import EXIT_OK, EXIT_USAGE, main
+from mitmscan.profiles import ClientProfile
 
 CORPUS = str(Path(__file__).resolve().parents[1] / "src" / "mitmscan" / "data" / "corpus")
 
@@ -71,6 +74,41 @@ def test_empty_allowlist_yields_zero_flows(tmp_path):
                  "scripted", "--freeze-time"]) == EXIT_OK
     for test in ("T1", "T2", "T3"):
         assert (out / f"ledger_{test}.jsonl").read_text() == ""
+
+
+def test_external_llm_scan_without_config_exits_2(tmp_path, monkeypatch):
+    monkeypatch.delenv("MITMSCAN_LLM_ENDPOINT", raising=False)
+    monkeypatch.delenv("MITMSCAN_LLM_MODEL", raising=False)
+    out = tmp_path / "out"
+    assert main(["scan", "--strategy", "external_llm", "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_external_llm_backend_drives_scan(tmp_path, monkeypatch, caplog):
+    prompts = []
+
+    def backend(prompt):
+        prompts.append(prompt)
+        labels = prompt.split("Available actions: ", 1)[1].split(".\n", 1)[0].split(", ")
+        return f"Thoughts: take the first one.\nAction: {labels[0]}"
+
+    monkeypatch.setattr(cli, "_llm_backend_from_env", lambda: backend)
+    fleet_path = tmp_path / "fleet.json"
+    fleet_path.write_text(json.dumps([{
+        "app_id": "com.llm.app",
+        "fqdns": ["a.example.com", "b.example.com"],
+        "profile": ClientProfile().as_dict(),
+    }]))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING):
+        assert main(["scan", "--fleet", str(fleet_path), "--strategy", "external_llm",
+                     "--steps", "2", "--grace", "0.2", "--freeze-time",
+                     "--out", str(out)]) == EXIT_OK
+    assert len(prompts) == 6  # 2 steps x 3 tests
+    assert "choosing randomly" not in caplog.text
+    for test in ("T1", "T2", "T3"):
+        rows = [json.loads(line) for line in (out / f"ledger_{test}.jsonl").read_text().splitlines()]
+        assert [r["fqdn"] for r in rows] == ["a.example.com"] * 4
 
 
 def test_locate_command(scan_dir, tmp_path):

@@ -1,4 +1,3 @@
-import datetime
 import json
 import socket
 import ssl
@@ -7,15 +6,8 @@ import pytest
 
 from mitmscan.appsim import Action, FlowSpec, Screen, SyntheticApp, perform_flow
 from mitmscan.certforge import verify_chain
-from mitmscan.engine import (
-    ATTACKER_NAME,
-    InterceptResult,
-    MitmEngine,
-    expected_outcome,
-    forge_for,
-    legit_for,
-    parse_chain_pem,
-)
+from mitmscan.engine import ATTACKER_NAME, MitmEngine, forge_for, legit_for, parse_chain_pem
+from mitmscan.fleet import expected_truth_table
 from mitmscan.flowledger import POLICY_ALWAYS, POLICY_ONCE, FlowLedger
 from mitmscan.profiles import ClientProfile
 
@@ -24,35 +16,24 @@ def test_forge_t1_untrusted_root(material):
     leaf = forge_for("T1", "api.example.com", material)
     assert leaf.subject_cn == "api.example.com"
     assert leaf.issuer is material.untrusted_root
-    assert not verify_chain(leaf, material.client_store, material.config.now)
+    assert not verify_chain([leaf.cert], material.client_store, material.config.now)
 
 
 def test_forge_t2_wrong_name_valid_chain(material):
     leaf = forge_for("T2", "api.example.com", material)
     assert leaf.subject_cn == ATTACKER_NAME
-    assert verify_chain(leaf, material.client_store, material.config.now)
+    assert verify_chain([leaf.cert], material.client_store, material.config.now)
 
 
 def test_forge_t3_installed_root(material):
     leaf = forge_for("T3", "api.example.com", material)
     assert leaf.issuer is material.installed_root
-    assert verify_chain(leaf, material.client_store, material.config.now)
+    assert verify_chain([leaf.cert], material.client_store, material.config.now)
 
 
 def test_forge_unknown_test(material):
     with pytest.raises(ValueError):
         forge_for("T4", "api.example.com", material)
-
-
-def test_expected_outcome_oracle(material):
-    t1_leaf = forge_for("T1", "a.example.com", material)
-    secure = ClientProfile()
-    trusting = ClientProfile(trust_behavior="T1", hostname_behavior="H1")
-    assert expected_outcome(secure, "T1", t1_leaf, "a.example.com", material.client_store) == "secure"
-    assert (
-        expected_outcome(trusting, "T1", t1_leaf, "a.example.com", material.client_store)
-        == "vulnerable"
-    )
 
 
 def _one_screen_app(app_id, fqdn, profile, channel="native"):
@@ -72,6 +53,20 @@ def _run_one(material, test, profile, channel="native", policy=POLICY_ALWAYS):
             material.config.now,
         )
     return ledger.records(), result
+
+
+def test_truth_table_oracle(material):
+    apps = [
+        _one_screen_app("com.test.secure", "a.example.com", ClientProfile()),
+        _one_screen_app(
+            "com.test.trusting",
+            "a.example.com",
+            ClientProfile(trust_behavior="T1", hostname_behavior="H1"),
+        ),
+    ]
+    table = expected_truth_table(apps, material)
+    assert table[("com.test.secure", "a.example.com", "T1", "native")] == "secure"
+    assert table[("com.test.trusting", "a.example.com", "T1", "native")] == "vulnerable"
 
 
 def test_engine_vulnerable_flow(material):
@@ -128,20 +123,6 @@ def test_engine_inconclusive_on_early_abort(material):
     assert [r.outcome for r in ledger.records()] == ["inconclusive"]
 
 
-def test_intercept_result_invariant():
-    with pytest.raises(ValueError):
-        InterceptResult(
-            app_id="a",
-            fqdn="f",
-            channel="native",
-            test="T1",
-            outcome="secure",
-            handshake_completed=True,
-            client_sent_data=False,
-            failure_stage="pre_cert",
-        )
-
-
 def test_preamble_chain_matches_presented(material):
     """The chain echoed in the preamble is the chain served in the handshake."""
     ledger = FlowLedger()
@@ -167,7 +148,7 @@ def test_preamble_chain_matches_presented(material):
         tls.close()
 
 
-def test_summary_lists_vulnerable_triples(material):
+def test_engine_t3_records_vulnerable_flow(material):
     records, _ = _run_one(
         material, "T3", ClientProfile(trust_behavior="T1", hostname_behavior="H1")
     )

@@ -15,12 +15,13 @@ from mitmscan.locator import (
 )
 
 
-def flow(app, fqdn, ts, outcome="vulnerable"):
+def flow(app, fqdn, ts, outcome="vulnerable", channel="native"):
     return FlowRecord(
         app_id=app,
         fqdn=fqdn,
         ts_wall="2025-04-01T00:00:00+00:00",
         ts_mono=ts,
+        channel=channel,
         test_applied="T1",
         outcome=outcome,
     )
@@ -129,6 +130,24 @@ def test_direct_hostname_matching():
     )
     attributions, unmatched = correlate([event], vuln)
     assert attributions[0].match_mode == "direct_hostname"
+    assert not unmatched
+
+
+def test_flows_link_only_to_events_of_their_channel():
+    native = flow("app1", "a.example.com", 0)
+    webview = flow("app1", "a.example.com", 1, channel="webview")
+    events = [
+        tm_event("en", "app1", "pkg.Trust.checkServerTrusted", ["a.example.com"], mitm=True),
+        ValidationEvent(
+            "ew", "app1", "pkg.Web.onReceivedSslError", "webview_client", "accepted", True,
+            0.0, hostname_param="a.example.com",
+        ),
+    ]
+    attributions, unmatched = correlate(events, [native, webview])
+    assert {a.code_location: a.matched_flows for a in attributions} == {
+        "pkg.Trust.checkServerTrusted": {native.identity},
+        "pkg.Web.onReceivedSslError": {webview.identity},
+    }
     assert not unmatched
 
 

@@ -8,7 +8,6 @@ from mitmscan.profiles import (
     ERROR_UNTRUSTED,
     ClientProfile,
     client_accepts,
-    client_validate,
     hostname_accepts,
     induced_ssl_error,
     trust_accepts,
@@ -120,7 +119,13 @@ def test_pinning_blocks_everything_else():
     assert not client_accepts(pin_root, ROGUE_CHAIN, "api.example.com", "native", STORE, NOW)
 
 
-def test_client_validate_verdicts():
+def test_secure_profile_verdicts():
     secure = ClientProfile()
-    assert client_validate(secure, GOOD_CHAIN, "api.example.com", STORE, NOW) == "accept"
-    assert client_validate(secure, WRONG_CHAIN, "api.example.com", STORE, NOW) == "reject"
+    assert client_accepts(secure, GOOD_CHAIN, "api.example.com", "native", STORE, NOW)
+    assert not client_accepts(secure, WRONG_CHAIN, "api.example.com", "native", STORE, NOW)
+    # RFC 6125: when a SAN is present the CN is not a name the host may match.
+    leaf = issue_leaf(TRUSTED, "a.example.com", ["b.example.com"], 90, CFG)
+    chain = [leaf.cert, TRUSTED.self_signed_cert]
+    for channel in ("native", "webview"):
+        assert not client_accepts(secure, chain, "a.example.com", channel, STORE, NOW)
+        assert client_accepts(secure, chain, "b.example.com", channel, STORE, NOW)
