@@ -9,24 +9,25 @@ TLS client behavior comes from its :class:`~mitmscan.profiles.ClientProfile`.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import logging
 import random
 import socket
-import socketserver
 import ssl
-import threading
 import time
 from dataclasses import dataclass, field
 
 from .certforge import TrustStore
-from .engine import parse_chain_pem
+from .engine import Listener, parse_chain_pem
 from .flowledger import CHANNELS, POLICIES
 from .profiles import ClientProfile, client_accepts
 
 log = logging.getLogger(__name__)
 
 STRATEGIES = ("random", "scripted", "external_llm")
+
+MAX_REPLY_BYTES = 64 * 1024
 
 BACK_ACTION = "back"
 
@@ -197,14 +198,35 @@ class SessionResult:
     partial: bool = False  # time budget expired before the step budget
 
 
+@functools.cache
+def _client_context() -> ssl.SSLContext:
+    """The one client context, built on the first flow.
+
+    The verdict comes from client_accepts on the echoed chain, so the
+    handshake verifies nothing and the context holds no per-flow state.
+    Building it on first use keeps OpenSSL's set-up out of processes that
+    make no flow.
+    """
+    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+    ctx.check_hostname = False
+    ctx.verify_mode = ssl.CERT_NONE
+    return ctx
+
+
 def _read_line(sock: socket.socket) -> bytes:
-    # One byte at a time so no TLS record bytes are consumed by buffering.
+    """The engine's reply line, read in chunks.
+
+    Chunks are safe: the engine sends nothing after the line until the
+    client's ClientHello, so no TLS bytes are consumed here.
+    """
     buf = bytearray()
     while not buf.endswith(b"\n"):
-        chunk = sock.recv(1)
+        chunk = sock.recv(4096)
         if not chunk:
-            break
+            raise ConnectionError("engine closed before the end of its reply")
         buf += chunk
+        if len(buf) > MAX_REPLY_BYTES:
+            raise ValueError(f"engine reply over {MAX_REPLY_BYTES} bytes")
     return bytes(buf)
 
 
@@ -228,10 +250,7 @@ def perform_flow(
         chain = parse_chain_pem(reply["chain_pem"])
         accepted = client_accepts(app.profile, chain, spec.fqdn, spec.channel, store, now)
 
-        ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
-        ctx.check_hostname = False
-        ctx.verify_mode = ssl.CERT_NONE
-        tls = ctx.wrap_socket(raw, server_hostname=spec.fqdn)
+        tls = _client_context().wrap_socket(raw, server_hostname=spec.fqdn)
         if accepted:
             tls.sendall(b"ping")
             tls.recv(64)
@@ -303,35 +322,30 @@ def execute_session(
 # -- plain echo endpoint for DIRECT traffic -----------------------------------
 
 
-class _EchoHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        try:
-            data = self.request.recv(4096)
-            if data:
-                self.request.sendall(data)
-        except OSError:
-            pass
+def _echo(conn: socket.socket) -> None:
+    try:
+        data = conn.recv(4096)
+        if data:
+            conn.sendall(data)
+    except OSError:
+        pass
 
 
 class EchoServer:
     """Plain TCP echo endpoint standing in for untouched upstream servers."""
 
     def __init__(self):
-        self._server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _EchoHandler)
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._listener = Listener(_echo, timeout=10.0)
 
     def start(self) -> tuple[str, int]:
-        self._thread.start()
-        return self._server.server_address
+        return self._listener.start()
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._server.server_address
+        return self._listener.address
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        self._listener.stop()
 
     def __enter__(self):
         self.start()

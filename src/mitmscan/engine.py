@@ -1,11 +1,12 @@
 """TLS interception engine: terminate flows with forged chains, classify outcomes.
 
 Connections arrive over localhost TCP with a one-line JSON preamble carrying
-the forwarder metadata (app id, destination FQDN, channel). The engine replies
-with the chain it is about to present, then runs a real TLS handshake over the
-same socket. The preamble stands in for the per-app VPN forwarder; the chain
-echo compensates for the stdlib ssl module not exposing the peer chain to
-clients on this Python version.
+the forwarder metadata (app id, destination FQDN, channel); a preamble longer
+than ``MAX_PREAMBLE_BYTES`` or left unterminated drops the connection. The
+engine replies with the chain it is about to present, then runs a real TLS
+handshake over the same socket. The preamble stands in for the per-app VPN
+forwarder; the chain echo compensates for the stdlib ssl module not exposing
+the peer chain to clients on this Python version.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import datetime
 import json
 import logging
 import socket
-import socketserver
 import ssl
 import tempfile
 import threading
@@ -40,6 +40,7 @@ log = logging.getLogger(__name__)
 ATTACKER_NAME = "attacker.invalid"
 DEFAULT_GRACE_SECONDS = 3.0
 FROZEN_WALL_TS = "2025-04-01T00:00:00+00:00"
+MAX_PREAMBLE_BYTES = 4096
 
 
 @dataclass
@@ -99,21 +100,84 @@ def legit_for(target_fqdn: str, material: MitmMaterial) -> LeafCertificate:
     return material.leaf_for(material.lab_trusted_root, target_fqdn)
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self):  # noqa: D102 - dispatch only
+class Listener:
+    """A TCP listener: a blocking accept loop, one handler thread per connection.
+
+    ``stop()`` shuts the listening socket down, which wakes the blocked
+    ``accept()`` at once, then joins the accept thread and every handler
+    still running, so whatever a handler was doing when its client returned
+    has finished when ``stop()`` returns. Each accepted connection gets
+    ``timeout``, which bounds every socket wait of its handler.
+    """
+
+    def __init__(self, handle, timeout: float, host: str = "127.0.0.1", port: int = 0):
+        self._handle = handle
+        self._timeout = timeout
+        self._sock = socket.create_server((host, port))
+        self._handlers: set[threading.Thread] = set()
+        self._lock = threading.Lock()
+        self._stopping = threading.Event()
+        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self._sock.getsockname()[:2]
+
+    def start(self) -> tuple[str, int]:
+        self._thread.start()
+        return self.address
+
+    def stop(self) -> None:
+        self._stopping.set()
         try:
-            self.server.engine._handle_connection(self.request)
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # some platforms refuse shutdown() on a listening socket
+        self._sock.close()
+        self._thread.join()
+        with self._lock:
+            handlers = list(self._handlers)
+        for thread in handlers:
+            thread.join()
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                if self._stopping.is_set():
+                    return
+                # Linux reports some network errors of a pending connection here.
+                log.warning("accept failed", exc_info=True)
+                continue
+            conn.settimeout(self._timeout)
+            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
+            with self._lock:
+                self._handlers.add(thread)
+            thread.start()
+            # Hold nothing of this connection while blocked in the next accept().
+            del conn, thread
+
+    def _serve(self, conn: socket.socket) -> None:
+        try:
+            self._handle(conn)
         except Exception as exc:
-            log.warning("connection handler error: %s", exc)
-
-
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+            log.warning("connection handler error: %s", exc, exc_info=True)
+        finally:
+            conn.close()
+            with self._lock:
+                self._handlers.discard(threading.current_thread())
 
 
 class MitmEngine:
-    """One engine instance runs one MitM test kind against incoming flows."""
+    """One engine instance runs one MitM test kind against incoming flows.
+
+    ``stop()`` returns as soon as no connection is in flight. It waits for
+    every handler still running, so each flow a client finished before
+    ``stop()`` is in the ledger when it returns. Each wait is bounded by the
+    connection timeout, ``max(4 x grace, 5 s)``, which every socket
+    operation of a handler gets.
+    """
 
     def __init__(
         self,
@@ -136,31 +200,27 @@ class MitmEngine:
         # (fqdn, forged) -> the SSLContext serving a leaf, and that leaf's chain PEM.
         self._contexts: dict[tuple[str, bool], tuple[ssl.SSLContext, str]] = {}
         self._tmpdir = tempfile.TemporaryDirectory(prefix="mitmscan-engine-")
-        self._server: _Server | None = None
-        self._thread: threading.Thread | None = None
+        self._listener: Listener | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
+        timeout = max(self.grace_seconds * 4, 5.0)
         try:
-            self._server = _Server((host, port), _Handler)
+            self._listener = Listener(self._handle_connection, timeout, host, port)
         except OSError as exc:
             raise RuntimeError(f"listener bind failed: {exc}") from exc
-        self._server.engine = self
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
-        return self._server.server_address
+        return self._listener.start()
 
     @property
     def address(self) -> tuple[str, int]:
-        assert self._server is not None, "engine not started"
-        return self._server.server_address
+        assert self._listener is not None, "engine not started"
+        return self._listener.address
 
     def stop(self) -> None:
-        if self._server:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
+        if self._listener:
+            self._listener.stop()
+            self._listener = None
         self._tmpdir.cleanup()
 
     def __enter__(self):
@@ -192,10 +252,14 @@ class MitmEngine:
         return self._contexts[key]
 
     def _handle_connection(self, sock: socket.socket) -> None:
-        sock.settimeout(max(self.grace_seconds * 4, 5.0))
-        fh = sock.makefile("rb")
-        line = fh.readline()
+        line = sock.makefile("rb").readline(MAX_PREAMBLE_BYTES)
         if not line:
+            return
+        if not line.endswith(b"\n"):
+            log.warning(
+                "dropping connection: preamble unterminated or over %d bytes",
+                MAX_PREAMBLE_BYTES,
+            )
             return
         meta = json.loads(line)
         app_id = meta["app_id"]
@@ -234,27 +298,27 @@ class MitmEngine:
             log.debug("pre-certificate transport failure: %s", exc)
             return self._TlsResult("inconclusive")
 
-        version = {"TLSv1.2": "TLS1.2", "TLSv1.3": "TLS1.3"}.get(
-            tls.version() or "", "unknown"
-        )
-        tls.settimeout(self.grace_seconds)
-        try:
-            data = tls.recv(4096)
-        except socket.timeout:
-            # Connection idles open with no application data: no evidence.
-            return self._TlsResult("inconclusive", version)
-        except (ssl.SSLError, ConnectionError, OSError):
-            data = b""
-        if data:
+        with tls:
+            version = {"TLSv1.2": "TLS1.2", "TLSv1.3": "TLS1.3"}.get(
+                tls.version() or "", "unknown"
+            )
+            tls.settimeout(self.grace_seconds)
             try:
-                tls.sendall(data)  # echo, so clients can run request/response
-                tls.close()
+                data = tls.recv(4096)
+            except socket.timeout:
+                # Connection idles open with no application data: no evidence.
+                return self._TlsResult("inconclusive", version)
             except (ssl.SSLError, ConnectionError, OSError):
-                pass
-            return self._TlsResult("vulnerable", version)
-        # Clean close right after the handshake: the client aborted on the
-        # certificate it saw.
-        return self._TlsResult("secure", version)
+                data = b""
+            if data:
+                try:
+                    tls.sendall(data)  # echo, so clients can run request/response
+                except (ssl.SSLError, ConnectionError, OSError):
+                    pass
+                return self._TlsResult("vulnerable", version)
+            # Clean close right after the handshake: the client aborted on the
+            # certificate it saw.
+            return self._TlsResult("secure", version)
 
     def _record(
         self, app_id: str, fqdn: str, channel: str, outcome: str, tls: "_TlsResult"

@@ -1,8 +1,13 @@
+import json
 import random
+import socket
+import threading
+import time
 
 import pytest
 
 from mitmscan.appsim import (
+    MAX_REPLY_BYTES,
     Action,
     EchoServer,
     FlowSpec,
@@ -14,9 +19,11 @@ from mitmscan.appsim import (
     execute_session,
     next_action,
     parse_action_reply,
+    _read_line,
     perform_direct_flow,
+    perform_flow,
 )
-from mitmscan.engine import MitmEngine
+from mitmscan.engine import Listener, MitmEngine
 from mitmscan.flowledger import POLICY_ALWAYS, FlowLedger
 from mitmscan.profiles import ClientProfile
 
@@ -174,3 +181,69 @@ def test_time_budget_marks_partial(material):
     )
     assert session.partial
     assert session.steps_taken == 0
+
+
+def test_read_line_joins_a_reply_split_across_sends():
+    client, server = socket.socketpair()
+    with client, server:
+        client.settimeout(5)
+
+        def send_in_two():
+            server.sendall(b'{"action": ')
+            time.sleep(0.05)
+            server.sendall(b'"test"}\n')
+
+        sender = threading.Thread(target=send_in_two)
+        sender.start()
+        assert _read_line(client) == b'{"action": "test"}\n'
+        sender.join(timeout=5)
+        assert not sender.is_alive()
+
+
+def test_read_line_refuses_a_reply_cut_short():
+    client, server = socket.socketpair()
+    with client, server:
+        client.settimeout(5)
+        server.sendall(b'{"action": "te')
+        server.close()
+        with pytest.raises(ConnectionError):
+            _read_line(client)
+
+
+def test_read_line_refuses_a_reply_over_its_limit():
+    client, server = socket.socketpair()
+    with client, server:
+        client.settimeout(5)
+        sender = threading.Thread(
+            target=server.sendall, args=(b"x" * MAX_REPLY_BYTES + b"x\n",)
+        )
+        sender.start()
+        with pytest.raises(ValueError, match=f"over {MAX_REPLY_BYTES} bytes"):
+            _read_line(client)
+        sender.join(timeout=5)
+        assert not sender.is_alive()
+
+
+def test_flow_with_an_oversized_reply_is_an_error(material):
+    def oversized_reply(conn):
+        conn.makefile("rb").readline()
+        try:
+            conn.sendall(json.dumps({"chain_pem": "x" * MAX_REPLY_BYTES}).encode() + b"\n")
+        except OSError:
+            pass  # the client hangs up once it has read past its limit
+
+    stub = Listener(oversized_reply, timeout=5.0)
+    address = stub.start()
+    try:
+        result = perform_flow(
+            two_screen_app(),
+            FlowSpec("a.example.com"),
+            address,
+            material.client_store,
+            material.config.now,
+            timeout=5.0,
+        )
+    finally:
+        stub.stop()
+    assert result.accepted is None
+    assert f"over {MAX_REPLY_BYTES} bytes" in result.error

@@ -1,12 +1,25 @@
+import gc
 import json
+import logging
 import socket
 import ssl
+import threading
+import time
+import weakref
 
 import pytest
 
 from mitmscan.appsim import Action, FlowSpec, Screen, SyntheticApp, perform_flow
 from mitmscan.certforge import verify_chain
-from mitmscan.engine import ATTACKER_NAME, MitmEngine, forge_for, legit_for, parse_chain_pem
+from mitmscan.engine import (
+    ATTACKER_NAME,
+    MAX_PREAMBLE_BYTES,
+    Listener,
+    MitmEngine,
+    forge_for,
+    legit_for,
+    parse_chain_pem,
+)
 from mitmscan.fleet import expected_truth_table
 from mitmscan.flowledger import POLICY_ALWAYS, POLICY_ONCE, FlowLedger
 from mitmscan.profiles import ClientProfile
@@ -115,8 +128,6 @@ def test_engine_inconclusive_on_early_abort(material):
         )
         sock.recv(1)  # preamble reply starts flowing
         sock.close()  # abort before any TLS handshake
-        import time
-
         deadline = time.monotonic() + 5
         while not ledger.records() and time.monotonic() < deadline:
             time.sleep(0.02)
@@ -153,3 +164,103 @@ def test_engine_t3_records_vulnerable_flow(material):
         material, "T3", ClientProfile(trust_behavior="T1", hostname_behavior="H1")
     )
     assert records[0].outcome == "vulnerable"
+
+
+def test_stop_returns_at_once_without_clients(material):
+    engine = MitmEngine(material, "T1", POLICY_ALWAYS, FlowLedger(), grace_seconds=0.3)
+    engine.start()
+    started = time.monotonic()
+    engine.stop()
+    assert time.monotonic() - started < 0.2
+
+
+@pytest.mark.parametrize(
+    "profile, outcome",
+    [
+        (ClientProfile(trust_behavior="T1", hostname_behavior="H1"), "vulnerable"),
+        (ClientProfile(), "secure"),
+    ],
+)
+def test_stop_waits_for_every_flow_record(material, profile, outcome):
+    """Flows a client finished right before stop() are all in the ledger, in order."""
+    fqdns = [f"svc{i}.example.com" for i in range(8)]
+    app = _one_screen_app("com.test.app", fqdns[0], profile)
+    ledger = FlowLedger()
+    with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
+        for fqdn in fqdns:
+            perform_flow(
+                app,
+                FlowSpec(fqdn, "native"),
+                engine.address,
+                material.client_store,
+                material.config.now,
+            )
+    records = ledger.records()
+    assert [r.fqdn for r in records] == fqdns
+    assert {r.outcome for r in records} == {outcome}
+
+
+def test_listener_stop_waits_for_handlers_in_flight():
+    started, finished = threading.Event(), []
+
+    def handle(conn):
+        conn.recv(1)
+        started.set()
+        time.sleep(0.1)
+        finished.append(conn)
+
+    listener = Listener(handle, timeout=5.0)
+    with socket.create_connection(listener.start(), timeout=5) as sock:
+        sock.sendall(b"x")
+        assert started.wait(timeout=5)
+        listener.stop()
+        assert len(finished) == 1
+        assert not listener._handlers
+
+
+def test_listener_keeps_no_connection_after_its_handler_ends():
+    refs = []
+
+    def handle(conn):
+        refs.append(weakref.ref(conn))
+        conn.recv(1)
+
+    listener = Listener(handle, timeout=5.0)
+    address = listener.start()
+    try:
+        for _ in range(3):
+            with socket.create_connection(address, timeout=5) as sock:
+                sock.sendall(b"x")
+        deadline = time.monotonic() + 5
+        while (len(refs) < 3 or listener._handlers) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        gc.collect()
+        assert len(refs) == 3
+        assert not listener._handlers
+        assert all(ref() is None for ref in refs)
+    finally:
+        listener.stop()
+
+
+def test_oversized_preamble_is_dropped_and_logged(material, caplog):
+    ledger = FlowLedger()
+    app = _one_screen_app("com.test.app", "svc.example.com", ClientProfile())
+    with caplog.at_level(logging.WARNING, logger="mitmscan.engine"):
+        with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
+            with socket.create_connection(engine.address, timeout=5) as sock:
+                sock.sendall(b"x" * (MAX_PREAMBLE_BYTES + 1))
+                try:
+                    assert sock.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+            # the engine still serves the next flow
+            result = perform_flow(
+                app,
+                FlowSpec("svc.example.com", "native"),
+                engine.address,
+                material.client_store,
+                material.config.now,
+            )
+    assert result.accepted is False
+    assert [r.outcome for r in ledger.records()] == ["secure"]
+    assert "preamble unterminated or over" in caplog.text
