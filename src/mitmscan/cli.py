@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import logging
@@ -137,15 +138,7 @@ def cmd_scan(args) -> int:
                 script = None
                 if config.strategy == "scripted":
                     script = [a.label for a in app.screens[app.start_screen].actions]
-                    steps = len(script) or 1
-                    session_config = appsim.ScanConfig(
-                        strategy="scripted",
-                        n_steps=steps,
-                        t_max=config.t_max,
-                        t_wait=config.t_wait,
-                        policy=config.policy,
-                        seed=config.seed,
-                    )
+                    session_config = dataclasses.replace(config, n_steps=len(script) or 1)
                 else:
                     session_config = config
                 session = appsim.execute_session(
@@ -208,10 +201,10 @@ def cmd_locate(args) -> int:
     if not ledger_path.exists():
         raise ConfigError(f"ledger file not found: {ledger_path}")
     events = locator.load_events(events_path)
-    ledger = FlowLedger(ledger_path)
-    vulnerable = [r for r in ledger.records() if r.outcome == "vulnerable"]
+    records = FlowLedger(ledger_path).records()
+    vulnerable = [r for r in records if r.outcome == "vulnerable"]
     attributions, unmatched = locator.correlate(events, vulnerable)
-    apps = sorted({r.app_id for r in ledger.records()})
+    apps = sorted({r.app_id for r in records})
     cov = locator.coverage(attributions, vulnerable, apps)
     report = {
         "attributions": [
@@ -308,27 +301,26 @@ def cmd_report(args) -> int:
     party_report = None
     if events_path.exists():
         events = locator.load_events(events_path)
-        accepted = [e for e in events if e.verdict == "accepted"]
-        refs = {}
-        for event in accepted:
-            ref = refs.get(event.code_location)
-            fqdn = event.hostname_param or event.cert_cn or ""
-            if ref is None:
-                refs[event.code_location] = party.CodeSnippetRef(
-                    snippet_id=event.code_location,
-                    app_id=event.app_id,
-                    code_location=event.code_location,
-                    fqdns=frozenset({fqdn} if fqdn else set()),
-                )
-            else:
-                refs[event.code_location] = party.CodeSnippetRef(
-                    snippet_id=ref.snippet_id,
-                    app_id=ref.app_id,
-                    code_location=ref.code_location,
-                    fqdns=ref.fqdns | ({fqdn} if fqdn else set()),
-                )
+        # code location -> (app of its first accepted event, FQDNs it accepted)
+        accepted: dict[str, tuple[str, set[str]]] = {}
+        for event in events:
+            if event.verdict != "accepted":
+                continue
+            _, fqdns = accepted.setdefault(event.code_location, (event.app_id, set()))
+            fqdn = event.hostname_param or event.cert_cn
+            if fqdn:
+                fqdns.add(fqdn)
+        refs = [
+            party.CodeSnippetRef(
+                snippet_id=location,
+                app_id=app_id,
+                code_location=location,
+                fqdns=frozenset(fqdns),
+            )
+            for location, (app_id, fqdns) in accepted.items()
+        ]
         annotations = party.load_annotations(args.annotations)
-        party_report = party.attribute(list(refs.values()), annotations).as_dict()
+        party_report = party.attribute(refs, annotations).as_dict()
 
     points = metrics.cdf(ratio_values)
     metrics.write_cdf_csv(points, out / "cdf_per_app_ratio.csv")
@@ -339,8 +331,11 @@ def cmd_report(args) -> int:
         "party_attribution": party_report,
         "cdf_files": ["cdf_per_app_ratio.csv"],
     }
-    if args.classification and Path(args.classification).exists():
-        report["classification"] = json.loads(Path(args.classification).read_text())
+    if args.classification:
+        classification = Path(args.classification)
+        if not classification.exists():
+            raise ConfigError(f"classification file not found: {classification}")
+        report["classification"] = json.loads(classification.read_text())
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"report written to {out / 'report.json'}")
     return EXIT_OK

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
 import threading
 from dataclasses import dataclass, asdict
 from pathlib import Path
+
+log = logging.getLogger(__name__)
 
 TRANSPORTS = ("TCP", "UDP")
 TLS_VERSIONS = ("TLS1.2", "TLS1.3", "unknown")
@@ -93,7 +97,8 @@ class FlowLedger:
     """Append-only flow store; record/decide are one critical section.
 
     When a path is given, records are appended to a JSONL file as they arrive
-    and the in-memory index is rebuilt on load.
+    and the in-memory index is rebuilt on load. A last line cut mid-write is
+    dropped on load, with a warning, and cut from the file.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -104,9 +109,31 @@ class FlowLedger:
         self._history: dict[tuple[DedupKey, str], list[str]] = {}
         self._path = Path(path) if path else None
         if self._path and self._path.exists():
-            for line in self._path.read_text().splitlines():
+            for line in self._complete_lines():
                 if line.strip():
                     self._index(FlowRecord.from_json(line))
+
+    def _complete_lines(self) -> list[str]:
+        """The file's lines, after mending an unterminated last line.
+
+        One that is not JSON was torn by an interrupted append: the file is
+        truncated to the line before it. One that is gets its newline. Either
+        way the next append starts a line of its own.
+        """
+        data = self._path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        tail = data[end:]
+        if tail:
+            try:
+                json.loads(tail)
+            except ValueError:
+                log.warning("%s: dropping a torn last line of %d bytes", self._path, len(tail))
+                os.truncate(self._path, end)
+                data = data[:end]
+            else:
+                with self._path.open("ab") as fh:
+                    fh.write(b"\n")
+        return data.decode().splitlines()
 
     @property
     def lock(self) -> threading.RLock:

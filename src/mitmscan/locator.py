@@ -8,14 +8,13 @@ code location whose validation logic accepted it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 from pathlib import Path
 
 from .flowledger import FlowRecord, normalize_fqdn
 
 INTERFACE_KINDS = ("trust_manager", "hostname_verifier", "webview_client")
-FAILURE_CAUSES = ("untriggered_path", "native_code", "non_standard_implementation")
 
 
 @dataclass
@@ -41,6 +40,11 @@ class ValidationEvent:
                 raise ValueError(f"{self.interface_kind} events need hostname_param")
         elif self.cert_cn is None and not self.cert_sans:
             raise ValueError("trust_manager events need certificate names")
+
+    @property
+    def channel(self) -> str:
+        """The flow channel this event's validation code serves."""
+        return "webview" if self.interface_kind == "webview_client" else "native"
 
     def cert_names(self) -> list[str]:
         names = []
@@ -103,12 +107,9 @@ def match_cert_names(fqdn: str, names: list[str]) -> bool:
 def _event_matches_flow(event: ValidationEvent, flow: FlowRecord) -> str | None:
     """Returns the passive match mode linking event to flow, or None.
 
-    An event links only to flows of its own channel: webview client events to
-    webview flows, trust manager and hostname verifier events to native flows.
+    The caller has already paired the event with flows of its own app and
+    channel.
     """
-    channel = "webview" if event.interface_kind == "webview_client" else "native"
-    if event.app_id != flow.app_id or channel != flow.channel:
-        return None
     if event.hostname_param is not None:
         if normalize_fqdn(event.hostname_param) == flow.fqdn:
             return "direct_hostname"
@@ -121,40 +122,34 @@ def _event_matches_flow(event: ValidationEvent, flow: FlowRecord) -> str | None:
 def correlate(
     events: list[ValidationEvent],
     vulnerable_flows: list[FlowRecord],
-    window_seconds: float | None = None,
-    flow_times: dict[tuple[str, str, int], float] | None = None,
 ) -> tuple[list[Attribution], list[FlowRecord]]:
     """Attribute vulnerable flows to code locations.
 
-    Passive pass: hostname equality or certificate-name matching. Active pass:
-    where accepting mitm_active events exist for a flow, they override passive
+    Passive pass: hostname equality or certificate-name matching, against the
+    events of the flow's own app and channel only. Active pass: where
+    accepting mitm_active events exist for a flow, they override passive
     links so only the code path that actually accepted the forged certificate
     is attributed. Returns (attributions, unmatched_flows).
     """
-    links: dict[tuple[str, str, int], list[tuple[ValidationEvent, str]]] = {}
-    for flow in vulnerable_flows:
-        for event in events:
-            mode = _event_matches_flow(event, flow)
-            if mode is None:
-                continue
-            if window_seconds is not None and flow_times is not None:
-                flow_ts = flow_times.get(flow.identity)
-                if flow_ts is not None and abs(event.ts - flow_ts) > window_seconds:
-                    continue
-            links.setdefault(flow.identity, []).append((event, mode))
+    by_app_channel: dict[tuple[str, str], list[ValidationEvent]] = {}
+    for event in events:
+        by_app_channel.setdefault((event.app_id, event.channel), []).append(event)
 
     by_location: dict[str, Attribution] = {}
     unmatched: list[FlowRecord] = []
     for flow in vulnerable_flows:
-        linked = links.get(flow.identity, [])
+        linked = []
+        for event in by_app_channel.get((flow.app_id, flow.channel), ()):
+            mode = _event_matches_flow(event, flow)
+            if mode is not None:
+                linked.append((event, mode))
         if not linked:
             unmatched.append(flow)
             continue
         active = [
-            (e, m) for e, m in linked if e.mitm_active and e.verdict == "accepted"
+            (e, "active_mitm") for e, _ in linked if e.mitm_active and e.verdict == "accepted"
         ]
-        chosen = [(e, "active_mitm") for e, _ in active] if active else linked
-        for event, mode in chosen:
+        for event, mode in active or linked:
             attribution = by_location.get(event.code_location)
             if attribution is None:
                 by_location[event.code_location] = Attribution(
@@ -213,19 +208,3 @@ def coverage(
         app_all=ratio(sum(all(v) for v in located_by_app.values()), len(located_by_app)),
         app_one=ratio(sum(any(v) for v in located_by_app.values()), len(located_by_app)),
     )
-
-
-@dataclass
-class FailureAnalysis:
-    """Unlocatable flows tagged with their declared failure cause."""
-
-    causes: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_tags(cls, tags: dict[tuple[str, str, int], str]) -> "FailureAnalysis":
-        causes: dict[str, int] = {}
-        for cause in tags.values():
-            if cause not in FAILURE_CAUSES:
-                raise ValueError(f"unknown failure cause: {cause}")
-            causes[cause] = causes.get(cause, 0) + 1
-        return cls(causes=causes)

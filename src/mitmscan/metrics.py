@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,15 +65,13 @@ def coverage_rates(c: CoverageSets) -> dict[str, float | None]:
 # -- prevalence ------------------------------------------------------------------
 
 
-def prevalence(ledger: FlowLedger, ratio_mode: str = "dedup") -> dict:
+def prevalence(ledger: FlowLedger) -> dict:
     """Vulnerable fraction per entity class plus the per-app flow-ratio spread.
 
-    ratio_mode "dedup" computes each app's ratio over unique (app, fqdn)
-    pairs; "raw" uses individual flow counts. Skipped flows never count toward
-    denominators; the conclusive base is vulnerable + secure + inconclusive.
+    Each app's ratio is taken over its unique (app, fqdn) pairs. Skipped
+    flows never count toward denominators; the conclusive base is
+    vulnerable + secure + inconclusive.
     """
-    if ratio_mode not in ("dedup", "raw"):
-        raise ValueError(f"unknown ratio_mode: {ratio_mode}")
     records = [r for r in ledger.records() if r.outcome != "skipped"]
     apps = {r.app_id for r in records}
     fqdns = {r.fqdn for r in records}
@@ -82,16 +81,9 @@ def prevalence(ledger: FlowLedger, ratio_mode: str = "dedup") -> dict:
     v_fqdns = {r.fqdn for r in vulnerable}
     v_app_fqdns = {(r.app_id, r.fqdn) for r in vulnerable}
 
-    ratios = []
-    for app in sorted(apps):
-        if ratio_mode == "dedup":
-            total = {(r.app_id, r.fqdn) for r in records if r.app_id == app}
-            vuln = {(r.app_id, r.fqdn) for r in vulnerable if r.app_id == app}
-        else:
-            total = [r for r in records if r.app_id == app]
-            vuln = [r for r in vulnerable if r.app_id == app]
-        if total:
-            ratios.append(len(vuln) / len(total))
+    hosts_tested = Counter(app for app, _ in app_fqdns)
+    hosts_vulnerable = Counter(app for app, _ in v_app_fqdns)
+    ratios = [hosts_vulnerable[app] / hosts_tested[app] for app in sorted(hosts_tested)]
 
     return {
         "fractions": {

@@ -154,6 +154,17 @@ def test_report_command(scan_dir, tmp_path):
     assert main(["report", "--scan", str(tmp_path / "missing"), "--out", str(out)]) == EXIT_USAGE
 
 
+def test_report_with_missing_classification_exits_2(scan_dir, tmp_path):
+    args = ["report", "--scan", str(scan_dir), "--out", str(tmp_path / "rep")]
+    missing = str(tmp_path / "missing.json")
+    assert main(args + ["--classification", missing]) == EXIT_USAGE
+    classification = tmp_path / "classify.json"
+    assert main(["classify", "--corpus", CORPUS, "--out", str(classification)]) == EXIT_OK
+    assert main(args + ["--classification", str(classification)]) == EXIT_OK
+    report = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert report["classification"] == json.loads(classification.read_text())
+
+
 def test_report_prevalence_matches_recount(scan_dir, tmp_path):
     out = tmp_path / "rep2"
     main(["report", "--scan", str(scan_dir), "--out", str(out), "--freeze-time"])

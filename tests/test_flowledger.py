@@ -76,6 +76,35 @@ def test_persistence_round_trip(tmp_path):
     assert reloaded.next_ts_mono() == 2
 
 
+def test_torn_last_line_is_dropped_and_cut(tmp_path, caplog):
+    path = tmp_path / "ledger.jsonl"
+    ledger = FlowLedger(path)
+    ledger.record_flow(make_flow(ts_mono=0))
+    ledger.record_flow(make_flow(ts_mono=1))
+    whole = path.read_bytes()
+    torn = make_flow(ts_mono=2).to_json()
+    path.write_bytes(whole + torn[: len(torn) // 2].encode())
+
+    with caplog.at_level("WARNING", logger="mitmscan.flowledger"):
+        reloaded = FlowLedger(path)
+    assert "torn" in caplog.text
+    assert path.read_bytes() == whole
+    assert reloaded.next_ts_mono() == 2
+    reloaded.record_flow(make_flow(ts_mono=2, outcome="vulnerable"))
+    again = FlowLedger(path)
+    assert [r.ts_mono for r in again.records()] == [0, 1, 2]
+    assert again.records()[2].outcome == "vulnerable"
+
+
+def test_unterminated_whole_last_line_is_kept(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    path.write_text(make_flow(ts_mono=0).to_json())
+    ledger = FlowLedger(path)
+    assert len(ledger.records()) == 1
+    ledger.record_flow(make_flow(ts_mono=1))
+    assert [r.ts_mono for r in FlowLedger(path).records()] == [0, 1]
+
+
 def test_policy_aliases():
     assert POLICY_ALIASES["always"] == POLICY_ALWAYS
     assert POLICY_ALIASES["skip"] == POLICY_ONCE

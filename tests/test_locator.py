@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mitmscan.flowledger import FlowRecord
+from mitmscan.flowledger import FlowRecord, normalize_fqdn
 from mitmscan.locator import (
     Attribution,
-    FailureAnalysis,
     ValidationEvent,
     correlate,
     coverage,
@@ -151,15 +152,6 @@ def test_flows_link_only_to_events_of_their_channel():
     assert not unmatched
 
 
-def test_time_window_filter():
-    vuln = [flow("app1", "a.example.com", 0)]
-    event = tm_event("e", "app1", "pkg.A.checkServerTrusted", ["a.example.com"], ts=100.0)
-    attributions, unmatched = correlate(
-        [event], vuln, window_seconds=5.0, flow_times={vuln[0].identity: 0.0}
-    )
-    assert not attributions and unmatched == vuln
-
-
 def test_coverage_exact_fractions():
     vuln = [flow("app1", "a.example.com", 0), flow("app2", "c.example.com", 1)]
     events, _ = wildcard_scenario()
@@ -180,13 +172,85 @@ def test_coverage_undefined_on_empty():
     }
 
 
-def test_failure_analysis_counts():
-    tags = {
-        ("a", "x.com", 0): "untriggered_path",
-        ("a", "y.com", 1): "native_code",
-        ("b", "z.com", 2): "native_code",
-    }
-    analysis = FailureAnalysis.from_tags(tags)
-    assert analysis.causes == {"untriggered_path": 1, "native_code": 2}
-    with pytest.raises(ValueError):
-        FailureAnalysis.from_tags({("a", "x", 0): "gremlins"})
+APPS = ("app1", "app2", "app3")
+HOSTS = ("a.example.com", "b.example.com", "example.com", "a.b.example.com", "c.other.org")
+# Names an event may carry: the hosts, wildcards, and a host in another spelling.
+NAMES = HOSTS + ("*.example.com", "*.b.example.com", "A.Example.COM.")
+
+
+def make_event(i, app, kind, names, cls, verdict, mitm):
+    if kind == "trust_manager":
+        fields = {"cert_cn": names[0], "cert_sans": names[1:] or None}
+    else:
+        fields = {"hostname_param": names[0]}
+    return ValidationEvent(
+        f"e{i}", app, f"{app}.pkg.{cls}.check", kind, verdict, mitm, float(i), **fields
+    )
+
+
+events_and_flows = st.tuples(
+    st.lists(
+        st.tuples(
+            st.sampled_from(APPS),
+            st.sampled_from(("trust_manager", "hostname_verifier", "webview_client")),
+            st.lists(st.sampled_from(NAMES), min_size=1, max_size=3),
+            st.sampled_from("ABC"),
+            st.sampled_from(("accepted", "rejected")),
+            st.booleans(),
+        ),
+        max_size=20,
+    ),
+    st.lists(
+        st.tuples(
+            st.sampled_from(APPS),
+            st.sampled_from(HOSTS),
+            st.sampled_from(("native", "webview")),
+        ),
+        max_size=10,
+    ),
+)
+
+
+def nested_loop_correlate(events, flows):
+    """Every flow against every event; the channel and app rules spelled out here."""
+    by_location = {}
+    unmatched = []
+    for f in flows:
+        linked = []
+        for e in events:
+            channel = "webview" if e.interface_kind == "webview_client" else "native"
+            if e.app_id != f.app_id or channel != f.channel:
+                continue
+            if e.hostname_param is not None:
+                if normalize_fqdn(e.hostname_param) == f.fqdn:
+                    linked.append((e, "direct_hostname"))
+            elif match_cert_names(f.fqdn, e.cert_names()):
+                linked.append((e, "cert_name"))
+        if not linked:
+            unmatched.append(f)
+            continue
+        active = [(e, "active_mitm") for e, _ in linked
+                  if e.mitm_active and e.verdict == "accepted"]
+        for e, mode in active or linked:
+            entry = by_location.setdefault(e.code_location, [set(), mode])
+            entry[0].add(f.identity)
+            if mode == "active_mitm":
+                entry[1] = mode
+    return by_location, unmatched
+
+
+@settings(max_examples=100, deadline=None)
+@given(events_and_flows)
+def test_correlate_matches_nested_loop(case):
+    events = [make_event(i, *row) for i, row in enumerate(case[0])]
+    flows = [
+        flow(app, fqdn, ts, channel=channel) for ts, (app, fqdn, channel) in enumerate(case[1])
+    ]
+    attributions, unmatched = correlate(events, flows)
+    expected, expected_unmatched = nested_loop_correlate(events, flows)
+    assert {a.code_location: [a.matched_flows, a.match_mode] for a in attributions} == expected
+    assert [a.code_location for a in attributions] == list(expected)
+    assert unmatched == expected_unmatched
+    # App isolation: a location of one app never holds another app's flow.
+    for a in attributions:
+        assert {app for app, _, _ in a.matched_flows} == {a.code_location.split(".")[0]}

@@ -75,16 +75,56 @@ def test_prevalence_basic():
     assert stats["per_app_ratio"]["share_above_half"] == 0.0
 
 
-def test_prevalence_raw_vs_dedup():
+def test_prevalence_dedups_hosts():
     ledger = FlowLedger()
     # app hits same fqdn three times, vulnerable once
     ledger.record_flow(flow("app", "a.com", 0, "vulnerable"))
     ledger.record_flow(flow("app", "a.com", 1, "secure"))
     ledger.record_flow(flow("app", "a.com", 2, "secure"))
-    assert prevalence(ledger, "dedup")["per_app_ratio"]["values"] == [1.0]
-    assert prevalence(ledger, "raw")["per_app_ratio"]["values"] == [pytest.approx(1 / 3)]
-    with pytest.raises(ValueError):
-        prevalence(ledger, "other")
+    assert prevalence(ledger)["per_app_ratio"]["values"] == [1.0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["app1", "app2", "app3", "app4"]),
+            st.sampled_from(["a.com", "b.com", "c.org"]),
+            st.sampled_from(["vulnerable", "secure", "inconclusive", "skipped"]),
+        ),
+        max_size=30,
+    )
+)
+def test_prevalence_matches_recount(rows):
+    ledger = FlowLedger()
+    for i, (app, fqdn, outcome) in enumerate(rows):
+        ledger.record_flow(flow(app, fqdn, i, outcome))
+    stats = prevalence(ledger)
+
+    tested = [(a, f, o) for a, f, o in rows if o != "skipped"]
+    vulnerable = [(a, f) for a, f, o in tested if o == "vulnerable"]
+
+    def share(part, whole):
+        return len(set(part)) / len(set(whole)) if whole else None
+
+    assert stats["fractions"] == {
+        "apps": share([a for a, _ in vulnerable], [a for a, _, _ in tested]),
+        "flows": len(vulnerable) / len(tested) if tested else None,
+        "fqdns": share([f for _, f in vulnerable], [f for _, f, _ in tested]),
+        "app_fqdns": share(vulnerable, [(a, f) for a, f, _ in tested]),
+    }
+    ratios = []
+    for app in sorted({a for a, _, _ in tested}):
+        hosts = {f for a, f, _ in tested if a == app}
+        vulnerable_hosts = {f for a, f in vulnerable if a == app}
+        ratios.append(len(vulnerable_hosts) / len(hosts))
+    spread = stats["per_app_ratio"]
+    assert spread["values"] == ratios
+    if ratios:
+        assert spread["mean"] == pytest.approx(sum(ratios) / len(ratios))
+        assert spread["share_above_half"] == sum(r > 0.5 for r in ratios) / len(ratios)
+    else:
+        assert spread["mean"] is spread["median"] is spread["share_above_half"] is None
 
 
 def test_jsd_anchors():
