@@ -11,7 +11,6 @@ import datetime
 import hashlib
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from cryptography import x509
 from cryptography.exceptions import InvalidSignature
@@ -97,12 +96,6 @@ class TrustStore:
             if root.self_signed_cert.subject == cert.issuer:
                 return root
         return None
-
-    def write_dir(self, path: str | Path) -> None:
-        path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
-        for root in self._roots.values():
-            (path / f"{root.name}.pem").write_bytes(cert_pem(root.self_signed_cert))
 
 
 def fingerprint(cert: x509.Certificate) -> str:

@@ -38,7 +38,7 @@ def _utc_now(freeze: bool) -> str:
 # -- scan ----------------------------------------------------------------------
 
 
-def _load_scan_config(args) -> appsim.ScanConfig:
+def _load_scan_config(args) -> tuple[appsim.ScanConfig, list[str] | None]:
     values = {}
     if args.config:
         path = Path(args.config)

@@ -5,8 +5,10 @@ the forwarder metadata (app id, destination FQDN, channel); a preamble longer
 than ``MAX_PREAMBLE_BYTES`` or left unterminated drops the connection. The
 engine replies with the chain it is about to present, then runs a real TLS
 handshake over the same socket. The preamble stands in for the per-app VPN
-forwarder; the chain echo compensates for the stdlib ssl module not exposing
-the peer chain to clients on this Python version.
+forwarder. Clients decide on the echoed chain, although the stdlib exposes the
+chain a handshake served (``_sslobj.get_unverified_chain()`` since 3.10): the
+benchmark's OpenSSL check, ``perfbench/checks.ssl_verdicts``, reads the reply
+line before its handshake, so the echo can only go together with that read.
 """
 
 from __future__ import annotations
@@ -197,8 +199,9 @@ class MitmEngine:
         self.grace_seconds = grace_seconds
         self.freeze_time = freeze_time
         self.observed_app_ids: set[str] = set()
-        # (fqdn, forged) -> the SSLContext serving a leaf, and that leaf's chain PEM.
-        self._contexts: dict[tuple[str, bool], tuple[ssl.SSLContext, str]] = {}
+        # (issuing root name, leaf name) -> the SSLContext serving that leaf, and
+        # its chain PEM. T2 serves one leaf for every host, so one context.
+        self._contexts: dict[tuple[str, str], tuple[ssl.SSLContext, str]] = {}
         self._tmpdir = tempfile.TemporaryDirectory(prefix="mitmscan-engine-")
         self._listener: Listener | None = None
 
@@ -232,14 +235,9 @@ class MitmEngine:
 
     # -- per-connection flow -----------------------------------------------
 
-    def _context_for(self, fqdn: str, forged: bool) -> tuple[ssl.SSLContext, str]:
-        key = (fqdn, forged)
+    def _context_for(self, leaf: LeafCertificate) -> tuple[ssl.SSLContext, str]:
+        key = (leaf.issuer.name, leaf.subject_cn)
         if key not in self._contexts:
-            leaf = (
-                forge_for(self.test, fqdn, self.material)
-                if forged
-                else legit_for(fqdn, self.material)
-            )
             chain_pem = leaf.chain_pem()
             base = Path(self._tmpdir.name) / f"{len(self._contexts)}"
             chain_path = base.with_suffix(".pem")
@@ -273,7 +271,12 @@ class MitmEngine:
                 DedupKey(app_id, fqdn), self.policy, self.test
             )
             forged = decision == "test"
-            ctx, chain_pem = self._context_for(fqdn, forged)
+            leaf = (
+                forge_for(self.test, fqdn, self.material)
+                if forged
+                else legit_for(fqdn, self.material)
+            )
+            ctx, chain_pem = self._context_for(leaf)
             sock.sendall(
                 json.dumps({"action": decision, "chain_pem": chain_pem}).encode() + b"\n"
             )
@@ -287,6 +290,17 @@ class MitmEngine:
         tls_version: str = "unknown"
 
     def _run_tls(self, sock: socket.socket, ctx: ssl.SSLContext) -> "_TlsResult":
+        # A client gone before its ClientHello never saw a certificate. Wrapping
+        # its socket anyway can leak it: when the peer has reset, the
+        # not-connected probe in SSLSocket._create raises without closing the
+        # socket it took over.
+        try:
+            hello = sock.recv(1, socket.MSG_PEEK)
+        except OSError as exc:
+            log.debug("transport failure before the ClientHello: %s", exc)
+            return self._TlsResult("inconclusive")
+        if not hello:
+            return self._TlsResult("inconclusive")
         try:
             tls = ctx.wrap_socket(sock, server_side=True)
         except ssl.SSLError as exc:

@@ -42,13 +42,6 @@ class CodeSnippetRef:
         return ".".join(parts[:-2]) if len(parts) > 2 else ""
 
 
-@dataclass(frozen=True)
-class PrefixCandidate:
-    prefix: str
-    app_count: int
-    low_confidence: bool  # single-letter leading label, likely obfuscated
-
-
 @dataclass
 class PartyAttribution:
     snippet_id: str
@@ -84,34 +77,6 @@ def load_annotations(path: str | Path | None = None) -> list[PackageAnnotation]:
     if len({a.prefix for a in annotations}) != len(annotations):
         raise ValueError("duplicate annotation prefixes")
     return annotations
-
-
-def _dotted_prefixes(package: str) -> list[str]:
-    parts = package.split(".")
-    return [".".join(parts[: i + 1]) for i in range(len(parts)) if parts[0]]
-
-
-def candidate_prefixes(snippets: list[CodeSnippetRef]) -> list[PrefixCandidate]:
-    """Package prefixes appearing in at least two distinct apps.
-
-    Ranked by descending app count, then prefix. Single-letter leading labels
-    are kept but flagged low-confidence since obfuscators collapse unrelated
-    code into them.
-    """
-    apps_by_prefix: dict[str, set[str]] = {}
-    for snippet in snippets:
-        for prefix in _dotted_prefixes(snippet.package):
-            apps_by_prefix.setdefault(prefix, set()).add(snippet.app_id)
-    candidates = [
-        PrefixCandidate(
-            prefix=prefix,
-            app_count=len(apps),
-            low_confidence=len(prefix.split(".")[0]) == 1,
-        )
-        for prefix, apps in apps_by_prefix.items()
-        if len(apps) >= 2
-    ]
-    return sorted(candidates, key=lambda c: (-c.app_count, c.prefix))
 
 
 def _best_annotation(

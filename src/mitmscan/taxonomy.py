@@ -9,7 +9,6 @@ log = logging.getLogger(__name__)
 TRUST_LABELS = ("T0", "T1", "T2-A", "T2-B", "T2-C", "T2-D", "T2-E", "T2-F", "TU")
 HOSTNAME_LABELS = ("H0", "H1", "H2-A", "H2-B", "HU")
 WEBVIEW_LABELS = ("W0", "W1", "W2-A", "W2-B", "W2-C", "WU")
-ALL_LABELS = TRUST_LABELS + HOSTNAME_LABELS + WEBVIEW_LABELS
 
 # Labels legal for each validation interface kind.
 FAMILY_BY_KIND = {
@@ -29,10 +28,6 @@ MAX_LABELS = 3
 
 class LabelError(ValueError):
     """A label set violates the taxonomy invariants and cannot be repaired."""
-
-
-def _canonical_order(labels: set[str]) -> list[str]:
-    return [lbl for lbl in ALL_LABELS if lbl in labels]
 
 
 def validate_labels(labels: set[str], interface_kind: str) -> None:

@@ -112,13 +112,6 @@ def test_fingerprint_shape():
     assert int(fp, 16) >= 0
 
 
-def test_write_dir(tmp_path):
-    store = TrustStore([make_root("ca-one", True), make_root("ca-two", False)])
-    store.write_dir(tmp_path / "roots")
-    names = sorted(p.name for p in (tmp_path / "roots").iterdir())
-    assert names == ["ca-one.pem", "ca-two.pem"]
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(0, 1000),

@@ -3,6 +3,7 @@ import json
 import logging
 import socket
 import ssl
+import struct
 import threading
 import time
 import weakref
@@ -134,6 +135,31 @@ def test_engine_inconclusive_on_early_abort(material):
     assert [r.outcome for r in ledger.records()] == ["inconclusive"]
 
 
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.parametrize("reset", [True, False], ids=["reset", "close"])
+def test_client_gone_after_reply_is_inconclusive_and_leaves_no_socket(material, reset):
+    """A client that leaves right after the preamble reply never saw a certificate."""
+    preamble = json.dumps(
+        {"app_id": "com.test.app", "fqdn": "svc.example.com", "channel": "native"}
+    ).encode() + b"\n"
+    ledger = FlowLedger()
+    with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
+        for _ in range(20):
+            sock = socket.create_connection(engine.address, timeout=5)
+            sock.sendall(preamble)
+            reply = b""
+            while not reply.endswith(b"\n"):
+                chunk = sock.recv(4096)
+                assert chunk
+                reply += chunk
+            if reset:  # close() then sends a reset instead of a FIN
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+    gc.collect()
+    assert [r.outcome for r in ledger.records()] == ["inconclusive"] * 20
+
+
 def test_preamble_chain_matches_presented(material):
     """The chain echoed in the preamble is the chain served in the handshake."""
     ledger = FlowLedger()
@@ -164,6 +190,23 @@ def test_engine_t3_records_vulnerable_flow(material):
         material, "T3", ClientProfile(trust_behavior="T1", hostname_behavior="H1")
     )
     assert records[0].outcome == "vulnerable"
+
+
+def test_t2_engine_builds_one_context_for_every_host(material):
+    """T2 serves the same leaf whatever the host, so it needs one SSLContext."""
+    profile = ClientProfile(trust_behavior="T1", hostname_behavior="H1")
+    ledger = FlowLedger()
+    with MitmEngine(material, "T2", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
+        for fqdn in ("a.example.com", "b.example.com"):
+            perform_flow(
+                _one_screen_app("com.test.app", fqdn, profile),
+                FlowSpec(fqdn, "native"),
+                engine.address,
+                material.client_store,
+                material.config.now,
+            )
+        assert len(engine._contexts) == 1
+    assert [r.outcome for r in ledger.records()] == ["vulnerable", "vulnerable"]
 
 
 def test_stop_returns_at_once_without_clients(material):

@@ -1,24 +1,14 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import jensenshannon
-from scipy.stats import pearsonr
 
 from mitmscan.flowledger import FlowLedger, FlowRecord
 from mitmscan.metrics import (
-    SLOT_DAYS,
     CoverageSets,
     DetectionSets,
-    VersionTimeline,
     cdf,
     coverage_rates,
     detection_rates,
-    jsd,
-    load_timelines,
-    longitudinal,
-    point_biserial,
     prevalence,
     write_cdf_csv,
 )
@@ -125,122 +115,6 @@ def test_prevalence_matches_recount(rows):
         assert spread["share_above_half"] == sum(r > 0.5 for r in ratios) / len(ratios)
     else:
         assert spread["mean"] is spread["median"] is spread["share_above_half"] is None
-
-
-def test_jsd_anchors():
-    p = [0.25, 0.25, 0.5]
-    assert jsd(p, p) == pytest.approx(0.0, abs=1e-12)
-    assert jsd([1, 0, 0, 0], [0, 0.2, 0.3, 0.5]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_jsd_normalizes_with_warning(caplog):
-    import logging
-
-    with caplog.at_level(logging.WARNING, logger="mitmscan.metrics"):
-        value = jsd([2.0, 2.0], [1.0, 1.0])
-    assert value == pytest.approx(0.0, abs=1e-12)
-    assert any("normalizing" in r.message for r in caplog.records)
-
-
-def test_jsd_input_validation():
-    with pytest.raises(ValueError):
-        jsd([0.5], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        jsd([], [])
-    with pytest.raises(ValueError):
-        jsd([-0.1, 1.1], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        jsd([0.0, 0.0], [1.0, 0.0])
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.floats(0.01, 10), min_size=2, max_size=8),
-    st.data(),
-)
-def test_jsd_matches_scipy_and_symmetry(p, data):
-    q = data.draw(st.lists(st.floats(0.01, 10), min_size=len(p), max_size=len(p)))
-    ours = jsd(p, q)
-    theirs = jensenshannon(p, q, base=2) ** 2
-    if math.isnan(theirs):  # scipy hits sqrt of a tiny negative when p == q
-        theirs = 0.0
-    assert ours == pytest.approx(theirs, abs=1e-12)
-    assert jsd(p, q) == pytest.approx(jsd(q, p), abs=1e-12)
-    assert 0 <= ours <= 1 + 1e-12
-
-
-def test_point_biserial_matches_scipy():
-    binary = [0, 1, 0, 1, 1, 0, 1]
-    metric = [1.0, 4.0, 2.0, 5.0, 7.0, 1.5, 6.0]
-    ours = point_biserial(binary, metric)
-    theirs = pearsonr(binary, metric).statistic
-    assert ours == pytest.approx(theirs, abs=1e-12)
-
-
-def test_point_biserial_degenerate():
-    assert point_biserial([1, 1, 1], [1.0, 2.0, 3.0]) is None
-    assert point_biserial([0, 1, 0], [2.0, 2.0, 2.0]) is None
-    with pytest.raises(ValueError):
-        point_biserial([0, 1], [1.0])
-    with pytest.raises(ValueError):
-        point_biserial([0, 2], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        point_biserial([1], [1.0])
-
-
-def test_timeline_validation():
-    with pytest.raises(ValueError):
-        VersionTimeline("app", ())
-    with pytest.raises(ValueError):
-        VersionTimeline("app", (("2024-06-01", True), ("2024-03-01", False)))
-
-
-def test_longitudinal_all_vulnerable():
-    tl = VersionTimeline("app", (("2024-01-01", True), ("2024-04-01", True)))
-    stats = longitudinal(tl)
-    assert stats.vulnerable_span_days == 2 * SLOT_DAYS
-    assert stats.app_lifespan_days == 91
-    assert stats.span_ratio == 2 * SLOT_DAYS / 91
-    assert stats.ratio_exceeds_lifespan
-    assert stats.remediation_delay_days is None
-    assert stats.reintroduction_events == 0
-
-
-def test_longitudinal_remediation_and_reintroduction():
-    tl = VersionTimeline(
-        "app",
-        (
-            ("2024-01-01", True),
-            ("2024-04-01", True),
-            ("2024-07-01", False),
-            ("2024-10-01", True),
-        ),
-    )
-    stats = longitudinal(tl)
-    assert stats.reintroduction_events == 1
-    # first fix observed at the third slot
-    import datetime
-
-    expected_delay = (datetime.date(2024, 7, 1) - datetime.date(2024, 1, 1)).days
-    assert stats.remediation_delay_days == expected_delay
-
-
-def test_longitudinal_single_slot():
-    vulnerable = longitudinal(VersionTimeline("app", (("2024-01-01", True),)))
-    assert vulnerable.app_lifespan_days == 0
-    assert vulnerable.span_ratio == 1.0
-    clean = longitudinal(VersionTimeline("app", (("2024-01-01", False),)))
-    assert clean.span_ratio == 0.0
-
-
-def test_load_timelines(tmp_path):
-    path = tmp_path / "timelines.jsonl"
-    path.write_text(
-        '{"app_id": "a", "slot_start": "2024-04-01", "vulnerable": true}\n'
-        '{"app_id": "a", "slot_start": "2024-01-01", "vulnerable": false}\n'
-    )
-    (tl,) = load_timelines(path)
-    assert tl.samples == (("2024-01-01", False), ("2024-04-01", True))
 
 
 def test_cdf_examples(tmp_path):

@@ -8,7 +8,6 @@ from mitmscan.party import (
     CodeSnippetRef,
     PackageAnnotation,
     attribute,
-    candidate_prefixes,
     load_annotations,
 )
 
@@ -45,30 +44,6 @@ def test_ambiguous_annotations_rejected(tmp_path):
 def test_package_extraction():
     assert ref("s", "a", "cn.jiguang.net.HttpsTrustManager.checkServerTrusted").package == "cn.jiguang.net"
     assert ref("s", "a", "Cls.method").package == ""
-
-
-def test_candidate_prefixes_threshold():
-    snippets = [
-        ref("s1", "app1", "com.lib.net.A.m"),
-        ref("s2", "app2", "com.lib.net.B.m"),
-        ref("s3", "app3", "com.solo.C.m"),
-    ]
-    candidates = candidate_prefixes(snippets)
-    prefixes = {c.prefix for c in candidates}
-    assert "com.lib" in prefixes and "com.lib.net" in prefixes
-    assert "com.solo" not in prefixes
-
-
-def test_obfuscated_prefixes_flagged():
-    snippets = [
-        ref("s1", "app1", "a.b.C.m"),
-        ref("s2", "app2", "a.b.D.m"),
-        ref("s3", "app3", "a.x.E.m"),
-    ]
-    by_prefix = {c.prefix: c for c in candidate_prefixes(snippets)}
-    assert by_prefix["a"].app_count == 3
-    assert by_prefix["a"].low_confidence
-    assert by_prefix["a.b"].low_confidence
 
 
 def test_attribute_examples():
