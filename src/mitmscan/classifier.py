@@ -11,31 +11,20 @@ from __future__ import annotations
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .taxonomy import (
+    EXCLUSIVE_TRUST_FLAWS,
     FAMILY_BY_KIND,
-    SECURE_LABELS,
-    UNKNOWN_LABELS,
+    FOCUS_METHODS,
+    TAXONOMY,
+    UNKNOWN_BY_KIND,
     repair_labels,
     validate_labels,
 )
 
 log = logging.getLogger(__name__)
-
-FOCUS_METHODS = {
-    "trust_manager": "checkServerTrusted",
-    "hostname_verifier": "verify",
-    "webview_client": "onReceivedSslError",
-}
-
-UNKNOWN_BY_KIND = {
-    "trust_manager": "TU",
-    "hostname_verifier": "HU",
-    "webview_client": "WU",
-}
 
 
 class SnippetParseError(ValueError):
@@ -238,39 +227,6 @@ def _classify_webview(body: str) -> list[str]:
 
 # -- prompt protocol -----------------------------------------------------------
 
-_CATEGORY_LINES = {
-    "trust_manager": [
-        ("T0", "Secure TrustManager"),
-        ("T1", "Empty TrustManager"),
-        ("T2-A", "Only checked validity period"),
-        ("T2-B", "Only checked if the parameters were empty or null"),
-        ("T2-C", "Only checked the certificate's subject"),
-        ("T2-D", "Verified signature but not certificate chain"),
-        ("T2-E", "Ignored certificate validation exception"),
-        ("T2-F", "Verified certificates only under limited conditions"),
-    ],
-    "hostname_verifier": [
-        ("H0", "Secure HostnameVerifier"),
-        ("H1", "HostnameVerifier that always returns true"),
-        ("H2-A", "Incorrect use of the hostname parameter for validation"),
-        ("H2-B", "Flawed matching of the certificate subject"),
-    ],
-    "webview_client": [
-        ("W0", "Secure WebViewClient SSL error handling"),
-        ("W1", "Unconditionally proceeds on SSL errors"),
-        ("W2-A", "Lets the user decide whether to proceed"),
-        ("W2-B", "Ignored specific error types"),
-        ("W2-C", "Ignored errors when the app is in a specific state"),
-    ],
-}
-
-_UNKNOWN_LINE = {
-    "trust_manager": ("TU", "Unknown, unable to determine, or not classifiable above"),
-    "hostname_verifier": ("HU", "Unknown, unable to determine, or not classifiable above"),
-    "webview_client": ("WU", "Unknown, unable to determine, or not classifiable above"),
-}
-
-
 def build_prompt(
     snippet: Snippet,
     examples: list[tuple["Snippet", set[str], str | None]] | None = None,
@@ -289,9 +245,9 @@ def build_prompt(
         "",
         "Categories",
     ]
-    categories = list(_CATEGORY_LINES[snippet.interface_kind])
-    if variant == "P2":
-        categories.append(_UNKNOWN_LINE[snippet.interface_kind])
+    categories = TAXONOMY[snippet.interface_kind][1]
+    if variant == "P1":
+        categories = categories[:-1]
     lines += [f"- {code}: {desc}" for code, desc in categories]
     for i, (ex, labels, comment) in enumerate(examples or [], 1):
         lines += ["", f"Example {i}", "Input:", ex.source_text.strip()]
@@ -303,7 +259,7 @@ def build_prompt(
         "Requirements",
         "- If the code belongs to multiple vulnerability categories at the same",
         "  level, output all categories separated by commas.",
-        "- T2-A / T2-B / T2-C / T2-D are mutually exclusive. At any time, the code",
+        f"- {' / '.join(EXCLUSIVE_TRUST_FLAWS)} are mutually exclusive. At any time, the code",
         "  will not contain more than three types of vulnerabilities.",
         "- DO NOT use any format or include any additional content, only output",
         "  the classification category code.",
@@ -364,6 +320,8 @@ def classify_llm_batch(
     max_retries: int = 3,
     max_concurrency: int = 4,
 ) -> dict[str, set[str]]:
+    from concurrent.futures import ThreadPoolExecutor  # only remote backends need threads
+
     with ThreadPoolExecutor(max_workers=max_concurrency) as pool:
         futures = {
             s.snippet_id: pool.submit(
@@ -417,9 +375,9 @@ def evaluate(
         return _micro(tp, fp, fn)
 
     report["All Categories"] = rollup(labels)
-    report["T2 Subcategories"] = rollup(["T2-A", "T2-B", "T2-C", "T2-D", "T2-E", "T2-F"])
-    report["W2 Subcategories"] = rollup(["W2-A", "W2-B", "W2-C"])
-    report["H2 Subcategories"] = rollup(["H2-A", "H2-B"])
+    for family in FAMILY_BY_KIND.values():
+        group = family[0][0] + "2"  # T2, H2, W2: the flawed subcategories
+        report[f"{group} Subcategories"] = rollup([l for l in family if l.startswith(group + "-")])
     return report
 
 

@@ -10,7 +10,6 @@ import logging
 import os
 import sys
 import time
-import urllib.request
 from pathlib import Path
 
 from . import appsim, classifier, fleet, locator, metrics, party
@@ -227,6 +226,8 @@ def cmd_locate(args) -> int:
 
 
 def _llm_backend_from_env():
+    import urllib.request  # loads http.client and email; only this backend needs them
+
     endpoint = os.environ.get("MITMSCAN_LLM_ENDPOINT")
     model = os.environ.get("MITMSCAN_LLM_MODEL")
     if not endpoint or not model:

@@ -153,6 +153,9 @@ class Listener:
                 log.warning("accept failed", exc_info=True)
                 continue
             conn.settimeout(self._timeout)
+            # Small writes go out at once: without this, Nagle holds a reply
+            # until a delayed ACK, about 40 ms, arrives for the last one.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
             with self._lock:
                 self._handlers.add(thread)
@@ -245,6 +248,7 @@ class MitmEngine:
             chain_path.write_bytes(chain_pem)
             key_path.write_bytes(key_pem(leaf.key_pair))
             ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            ctx.num_tickets = 0  # no client resumes a session
             ctx.load_cert_chain(str(chain_path), str(key_path))
             self._contexts[key] = (ctx, chain_pem.decode())
         return self._contexts[key]

@@ -6,7 +6,7 @@ import json
 import logging
 import os
 import threading
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -81,12 +81,8 @@ class FlowRecord:
     def identity(self) -> tuple[str, str, int]:
         return (self.app_id, self.fqdn, self.ts_mono)
 
-    @property
-    def key(self) -> DedupKey:
-        return DedupKey(self.app_id, self.fqdn)
-
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "FlowRecord":
@@ -105,8 +101,8 @@ class FlowLedger:
         self._lock = threading.RLock()
         self._records: list[FlowRecord] = []
         self._identities: set[tuple[str, str, int]] = set()
-        # (DedupKey, test) -> list of outcomes in arrival order.
-        self._history: dict[tuple[DedupKey, str], list[str]] = {}
+        # (app_id, fqdn, test) -> list of outcomes in arrival order.
+        self._history: dict[tuple[str, str, str], list[str]] = {}
         self._path = Path(path) if path else None
         if self._path and self._path.exists():
             for line in self._complete_lines():
@@ -145,7 +141,8 @@ class FlowLedger:
         self._identities.add(flow.identity)
         self._records.append(flow)
         if flow.test_applied is not None:
-            self._history.setdefault((flow.key, flow.test_applied), []).append(flow.outcome)
+            history_key = (flow.app_id, flow.fqdn, flow.test_applied)
+            self._history.setdefault(history_key, []).append(flow.outcome)
 
     def record_flow(self, flow: FlowRecord) -> int:
         with self._lock:
@@ -166,7 +163,7 @@ class FlowLedger:
         if test not in TESTS:
             raise ValueError(f"unknown test: {test}")
         with self._lock:
-            history = self._history.get((key, test), [])
+            history = self._history.get((key.app_id, key.fqdn, test), [])
             if policy == POLICY_ALWAYS:
                 return "test"
             tested = [o for o in history if o != "skipped"]

@@ -13,8 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .flowledger import FlowRecord, normalize_fqdn
-
-INTERFACE_KINDS = ("trust_manager", "hostname_verifier", "webview_client")
+from .taxonomy import INTERFACE_KINDS
 
 
 @dataclass
@@ -73,11 +72,8 @@ class Attribution:
 
 
 def load_events(path: str | Path) -> list[ValidationEvent]:
-    events = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            events.append(ValidationEvent.from_json(line))
-    return events
+    lines = Path(path).read_text().splitlines()
+    return [ValidationEvent.from_json(line) for line in lines if line.strip()]
 
 
 def save_events(events: list[ValidationEvent], path: str | Path) -> None:

@@ -23,14 +23,24 @@ from .certforge import (
     verify_signature,
 )
 from .locator import match_cert_names
+from .taxonomy import FAMILY_BY_KIND
 
-TRUST_BEHAVIORS = ("T0", "T1", "T2A", "T2B", "T2C", "T2D", "T2E", "T2F")
-HOSTNAME_BEHAVIORS = ("H0", "H1", "H2A", "H2B")
-WEBVIEW_BEHAVIORS = ("W0", "W1", "W2A", "W2B", "W2C")
+# A behavior code is its taxonomy label without the hyphen (H2-A -> H2A); the
+# unknown label names no behavior.
+TRUST_BEHAVIORS, HOSTNAME_BEHAVIORS, WEBVIEW_BEHAVIORS = (
+    tuple(label.replace("-", "") for label in FAMILY_BY_KIND[kind][:-1])
+    for kind in ("trust_manager", "hostname_verifier", "webview_client")
+)
 PINNING_MODES = ("none", "pin_leaf", "pin_root")
 
-# Behaviors whose predicate is parameterized.
-CONDITIONAL_BEHAVIORS = {"H2A", "H2B", "T2F", "W2B", "W2C"}
+# The condition_params key read by each behavior whose predicate is parameterized.
+PARAM_KEYS = {
+    "H2A": "hostname_allowlist",
+    "H2B": "match_mode",
+    "T2F": "trusted_issuers",
+    "W2B": "ignored_error_codes",
+    "W2C": "insecure_state",
+}
 
 # SSL error codes surfaced to webview-channel profiles, mirroring the Android
 # SslError constants: 3 = untrusted authority, 2 = hostname mismatch.
@@ -55,12 +65,10 @@ class ClientProfile:
             raise ValueError(f"bad webview_behavior: {self.webview_behavior}")
         if self.pinning not in PINNING_MODES:
             raise ValueError(f"bad pinning: {self.pinning}")
-        conditional = {
-            self.trust_behavior,
-            self.hostname_behavior,
-            self.webview_behavior,
-        } & CONDITIONAL_BEHAVIORS
-        missing = {b for b in conditional if _param_key(b) not in self.condition_params}
+        behaviors = {self.trust_behavior, self.hostname_behavior, self.webview_behavior}
+        missing = {
+            b for b in behaviors & PARAM_KEYS.keys() if PARAM_KEYS[b] not in self.condition_params
+        }
         if missing:
             raise ValueError(f"condition_params missing for {sorted(missing)}")
 
@@ -70,19 +78,6 @@ class ClientProfile:
     @classmethod
     def from_dict(cls, data: dict) -> "ClientProfile":
         return cls(**data)
-
-
-_PARAM_KEYS = {
-    "H2A": "hostname_allowlist",
-    "H2B": "match_mode",
-    "T2F": "trusted_issuers",
-    "W2B": "ignored_error_codes",
-    "W2C": "insecure_state",
-}
-
-
-def _param_key(behavior: str) -> str:
-    return _PARAM_KEYS[behavior]
 
 
 def _issuer_cn(cert: x509.Certificate) -> str:

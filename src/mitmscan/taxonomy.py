@@ -1,4 +1,6 @@
-"""Label taxonomy for certificate validation code, with invariant repair."""
+"""Label taxonomy for certificate validation code: one table of interface kinds,
+labels and prompt descriptions, and the label-set invariants with their repair.
+"""
 
 from __future__ import annotations
 
@@ -6,19 +8,48 @@ import logging
 
 log = logging.getLogger(__name__)
 
-TRUST_LABELS = ("T0", "T1", "T2-A", "T2-B", "T2-C", "T2-D", "T2-E", "T2-F", "TU")
-HOSTNAME_LABELS = ("H0", "H1", "H2-A", "H2-B", "HU")
-WEBVIEW_LABELS = ("W0", "W1", "W2-A", "W2-B", "W2-C", "WU")
+_UNKNOWN = "Unknown, unable to determine, or not classifiable above"
 
-# Labels legal for each validation interface kind.
-FAMILY_BY_KIND = {
-    "trust_manager": TRUST_LABELS,
-    "hostname_verifier": HOSTNAME_LABELS,
-    "webview_client": WEBVIEW_LABELS,
+# Interface kind -> (focus method, (label, prompt description) pairs). Each
+# family lists its secure label first and its unknown label last.
+TAXONOMY = {
+    "trust_manager": ("checkServerTrusted", (
+        ("T0", "Secure TrustManager"),
+        ("T1", "Empty TrustManager"),
+        ("T2-A", "Only checked validity period"),
+        ("T2-B", "Only checked if the parameters were empty or null"),
+        ("T2-C", "Only checked the certificate's subject"),
+        ("T2-D", "Verified signature but not certificate chain"),
+        ("T2-E", "Ignored certificate validation exception"),
+        ("T2-F", "Verified certificates only under limited conditions"),
+        ("TU", _UNKNOWN),
+    )),
+    "hostname_verifier": ("verify", (
+        ("H0", "Secure HostnameVerifier"),
+        ("H1", "HostnameVerifier that always returns true"),
+        ("H2-A", "Incorrect use of the hostname parameter for validation"),
+        ("H2-B", "Flawed matching of the certificate subject"),
+        ("HU", _UNKNOWN),
+    )),
+    "webview_client": ("onReceivedSslError", (
+        ("W0", "Secure WebViewClient SSL error handling"),
+        ("W1", "Unconditionally proceeds on SSL errors"),
+        ("W2-A", "Lets the user decide whether to proceed"),
+        ("W2-B", "Ignored specific error types"),
+        ("W2-C", "Ignored errors when the app is in a specific state"),
+        ("WU", _UNKNOWN),
+    )),
 }
 
-SECURE_LABELS = {"T0", "H0", "W0"}
-UNKNOWN_LABELS = {"TU", "HU", "WU"}
+INTERFACE_KINDS = tuple(TAXONOMY)
+FOCUS_METHODS = {kind: method for kind, (method, _) in TAXONOMY.items()}
+# Labels legal for each validation interface kind.
+FAMILY_BY_KIND = {
+    kind: tuple(label for label, _ in entries) for kind, (_, entries) in TAXONOMY.items()
+}
+UNKNOWN_BY_KIND = {kind: family[-1] for kind, family in FAMILY_BY_KIND.items()}
+SECURE_LABELS = {family[0] for family in FAMILY_BY_KIND.values()}
+UNKNOWN_LABELS = set(UNKNOWN_BY_KIND.values())
 
 # At most one of these core trust flaws can describe a single method body.
 EXCLUSIVE_TRUST_FLAWS = ("T2-A", "T2-B", "T2-C", "T2-D")
@@ -82,8 +113,7 @@ def repair_labels(labels: list[str], interface_kind: str) -> set[str]:
             continue
         kept.append(label)
     if not kept:
-        unknown = {"trust_manager": "TU", "hostname_verifier": "HU", "webview_client": "WU"}
-        kept = [unknown[interface_kind]]
+        kept = [UNKNOWN_BY_KIND[interface_kind]]
     result = set(kept)
     validate_labels(result, interface_kind)
     return result

@@ -103,7 +103,7 @@ def test_retest_policy_ledgers(capsys):
         seqs = {}
         for rec in ledger.records():
             letter = {"vulnerable": "v", "secure": "s", "skipped": "k"}[rec.outcome]
-            seqs.setdefault((rec.key, rec.test_applied), []).append(letter)
+            seqs.setdefault((DedupKey(rec.app_id, rec.fqdn), rec.test_applied), []).append(letter)
         return ["".join(v) for v in seqs.values()]
 
     p1_ok = all("k" not in s for s in sequences(simulate(POLICY_ALWAYS, 101)))

@@ -1,5 +1,8 @@
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -179,3 +182,19 @@ def test_report_prevalence_matches_recount(scan_dir, tmp_path):
     assert report["prevalence"]["T1"]["fractions"]["apps"] == pytest.approx(
         len(vuln_apps) / len(apps)
     )
+
+
+def test_import_loads_no_llm_backend_module():
+    """Only the LLM backends need HTTP and threads; importing the CLI loads neither."""
+    modules = ["urllib.request", "http.client", "email.message", "concurrent.futures"]
+    code = (
+        "import sys, mitmscan.cli; "
+        f"print([m for m in {modules!r} if m in sys.modules])"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

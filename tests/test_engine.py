@@ -3,6 +3,7 @@ import json
 import logging
 import socket
 import ssl
+import statistics
 import struct
 import threading
 import time
@@ -10,6 +11,7 @@ import weakref
 
 import pytest
 
+from mitmscan import appsim
 from mitmscan.appsim import Action, FlowSpec, Screen, SyntheticApp, perform_flow
 from mitmscan.certforge import verify_chain
 from mitmscan.engine import (
@@ -207,6 +209,48 @@ def test_t2_engine_builds_one_context_for_every_host(material):
             )
         assert len(engine._contexts) == 1
     assert [r.outcome for r in ledger.records()] == ["vulnerable", "vulnerable"]
+
+
+def test_engine_issues_no_session_ticket(material, monkeypatch):
+    """No client resumes a session, so the engine makes and sends no ticket."""
+    sessions = []
+
+    class RecordingSocket(ssl.SSLSocket):
+        def close(self):
+            sessions.append(self.session)
+            super().close()
+
+    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+    ctx.check_hostname = False
+    ctx.verify_mode = ssl.CERT_NONE
+    ctx.sslsocket_class = RecordingSocket
+    monkeypatch.setattr(appsim, "_client_context", lambda: ctx)
+    records, result = _run_one(
+        material, "T1", ClientProfile(trust_behavior="T1", hostname_behavior="H1")
+    )
+    assert result.accepted is True
+    assert [r.outcome for r in records] == ["vulnerable"]
+    assert [s.has_ticket for s in sessions] == [False]
+
+
+def test_accepting_flows_wait_for_no_delayed_ack(material):
+    """The request after Finished goes out at once, not after a ~40 ms delayed ACK."""
+    profile = ClientProfile(trust_behavior="T1", hostname_behavior="H1")
+    app = _one_screen_app("com.test.app", "svc.example.com", profile)
+    durations = []
+    with MitmEngine(material, "T1", POLICY_ALWAYS, FlowLedger(), grace_seconds=0.3) as engine:
+        for _ in range(15):
+            started = time.perf_counter()
+            result = perform_flow(
+                app,
+                FlowSpec("svc.example.com", "native"),
+                engine.address,
+                material.client_store,
+                material.config.now,
+            )
+            durations.append(time.perf_counter() - started)
+            assert result.accepted is True
+    assert statistics.median(durations) < 0.030
 
 
 def test_stop_returns_at_once_without_clients(material):

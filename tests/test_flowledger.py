@@ -1,15 +1,20 @@
+import itertools
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mitmscan.flowledger import (
+    POLICIES,
     POLICY_ALIASES,
     POLICY_ALWAYS,
     POLICY_ONCE,
     POLICY_UNTIL_VULNERABLE,
+    TESTS,
     DedupKey,
     DuplicateFlowError,
     FlowLedger,
@@ -149,6 +154,40 @@ def test_decide_retest_rejects_unknowns():
         ledger.decide_retest(key, POLICY_ALWAYS, "T9")
 
 
+APPS = ("app.a", "app.b")
+# One host in several spellings, which the ledger must treat as one.
+HOSTS = ("a.example.com", "A.Example.COM", "a.example.com.", "b.example.com", "B.EXAMPLE.COM.")
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(APPS),
+            st.sampled_from(HOSTS),
+            st.sampled_from(TESTS),
+            st.sampled_from(POLICIES),
+            st.sampled_from(("vulnerable", "secure", "inconclusive")),
+        ),
+        max_size=40,
+    )
+)
+def test_reloaded_ledger_decides_as_the_live_one(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.jsonl"
+        live = FlowLedger(path)
+        for i, (app, host, test, policy, outcome) in enumerate(steps):
+            if live.decide_retest(DedupKey(app, host), policy, test) == "skip":
+                outcome = "skipped"
+            live.record_flow(
+                make_flow(app=app, fqdn=host, ts_mono=i, test_applied=test, outcome=outcome)
+            )
+        reloaded = FlowLedger(path)
+    for app, host, test, policy in itertools.product(APPS, HOSTS, TESTS, POLICIES):
+        key = DedupKey(app, host)
+        assert reloaded.decide_retest(key, policy, test) == live.decide_retest(key, policy, test)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from("xy")), max_size=30))
 def test_unique_entities_matches_brute_force(pairs):
@@ -184,7 +223,7 @@ def _outcome_strings(ledger):
     seqs = {}
     for rec in ledger.records():
         letter = {"vulnerable": "v", "secure": "s", "skipped": "k"}[rec.outcome]
-        seqs.setdefault((rec.key, rec.test_applied), []).append(letter)
+        seqs.setdefault((DedupKey(rec.app_id, rec.fqdn), rec.test_applied), []).append(letter)
     return {k: "".join(v) for k, v in seqs.items()}
 
 

@@ -1,6 +1,23 @@
 import pytest
 
-from mitmscan.taxonomy import LabelError, repair_labels, validate_labels
+from mitmscan.classifier import Snippet, build_prompt, evaluate
+from mitmscan.profiles import HOSTNAME_BEHAVIORS, PARAM_KEYS, TRUST_BEHAVIORS, WEBVIEW_BEHAVIORS
+from mitmscan.taxonomy import (
+    FAMILY_BY_KIND,
+    FOCUS_METHODS,
+    SECURE_LABELS,
+    TAXONOMY,
+    UNKNOWN_LABELS,
+    LabelError,
+    repair_labels,
+    validate_labels,
+)
+
+BEHAVIORS_BY_KIND = {
+    "trust_manager": TRUST_BEHAVIORS,
+    "hostname_verifier": HOSTNAME_BEHAVIORS,
+    "webview_client": WEBVIEW_BEHAVIORS,
+}
 
 
 def test_valid_sets_pass():
@@ -58,3 +75,49 @@ def test_repair_empty_maps_to_unknown():
     assert repair_labels([], "trust_manager") == {"TU"}
     assert repair_labels(["T1"], "hostname_verifier") == {"HU"}
     assert repair_labels(["bogus"], "webview_client") == {"WU"}
+
+
+def test_each_family_lists_secure_first_and_unknown_last():
+    assert SECURE_LABELS == {"T0", "H0", "W0"}
+    assert UNKNOWN_LABELS == {"TU", "HU", "WU"}
+
+
+@pytest.mark.parametrize("kind", sorted(TAXONOMY))
+def test_behavior_codes_are_labels_without_hyphen(kind):
+    expected = tuple(l.replace("-", "") for l in FAMILY_BY_KIND[kind] if l not in UNKNOWN_LABELS)
+    assert BEHAVIORS_BY_KIND[kind] == expected
+
+
+def test_parameterized_behaviors_are_behavior_codes():
+    behaviors = set(TRUST_BEHAVIORS + HOSTNAME_BEHAVIORS + WEBVIEW_BEHAVIORS)
+    assert set(PARAM_KEYS) <= behaviors
+
+
+def _prompt_categories(prompt):
+    lines = prompt.splitlines()
+    start = lines.index("Categories") + 1
+    return lines[start : lines.index("", start)]
+
+
+@pytest.mark.parametrize("kind", sorted(TAXONOMY))
+def test_prompt_lists_the_table_in_order(kind):
+    method = FOCUS_METHODS[kind]
+    snippet = Snippet("s.java", f"class C {{ void {method}() {{}} }}", kind, "C", method)
+    entries = [f"- {label}: {description}" for label, description in TAXONOMY[kind][1]]
+    assert _prompt_categories(build_prompt(snippet, variant="P2")) == entries
+    assert _prompt_categories(build_prompt(snippet, variant="P1")) == entries[:-1]
+
+
+def test_evaluate_rolls_up_each_flawed_subcategory_group():
+    # One snippet per label; every label is predicted except all subcategories
+    # but the first of each group, so a group's recall is 1 / its size.
+    labels = [label for family in FAMILY_BY_KIND.values() for label in family]
+    predicted = {"T2-A", "H2-A", "W2-A"} | {l for l in labels if "-" not in l}
+    truth = {label: {label} for label in labels}
+    report = evaluate({l: {l} & predicted for l in labels}, truth)
+    groups = {name: row["recall"] for name, row in report.items() if "Subcategories" in name}
+    assert groups == {
+        "T2 Subcategories": pytest.approx(1 / 6),
+        "H2 Subcategories": pytest.approx(1 / 2),
+        "W2 Subcategories": pytest.approx(1 / 3),
+    }
