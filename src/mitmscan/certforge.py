@@ -45,7 +45,6 @@ class RootAuthority:
     name: str
     key_pair: Ed25519PrivateKey = field(repr=False, compare=False)
     self_signed_cert: x509.Certificate = field(compare=False)
-    trusted_flag: bool = False
 
     @property
     def fingerprint(self) -> str:
@@ -54,13 +53,11 @@ class RootAuthority:
 
 @dataclass(frozen=True)
 class LeafCertificate:
-    subject_cn: str
-    san_list: tuple[str, ...]
-    issuer: RootAuthority = field(compare=False)
-    not_before: datetime.datetime
-    not_after: datetime.datetime
+    """A leaf, its key and its issuer; names and dates are read from ``cert``."""
+
+    cert: x509.Certificate
     key_pair: Ed25519PrivateKey = field(repr=False, compare=False)
-    cert: x509.Certificate = field(compare=False)
+    issuer: RootAuthority = field(compare=False)
 
     @property
     def fingerprint(self) -> str:
@@ -146,7 +143,32 @@ def _derive_serial(config: CertConfig, purpose: str) -> int:
     return int.from_bytes(digest[:19], "big") | 1
 
 
-def make_root(name: str, trusted: bool, config: CertConfig | None = None) -> RootAuthority:
+def _sign(
+    config: CertConfig,
+    cn: str,
+    key: Ed25519PrivateKey,
+    serial_purpose: str,
+    validity_days: int,
+    extensions: list[tuple[x509.ExtensionType, bool]],
+    ca: RootAuthority | None,
+) -> x509.Certificate:
+    """A certificate for ``key`` named ``cn``, signed by ``ca`` or else self-signed."""
+    subject = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, cn)])
+    builder = (
+        x509.CertificateBuilder()
+        .subject_name(subject)
+        .issuer_name(ca.self_signed_cert.subject if ca else subject)
+        .public_key(key.public_key())
+        .serial_number(_derive_serial(config, serial_purpose))
+        .not_valid_before(config.now - datetime.timedelta(days=1))
+        .not_valid_after(config.now + datetime.timedelta(days=validity_days))
+    )
+    for extension, critical in extensions:
+        builder = builder.add_extension(extension, critical)
+    return builder.sign(ca.key_pair if ca else key, algorithm=None)
+
+
+def make_root(name: str, config: CertConfig | None = None) -> RootAuthority:
     """Create a self-signed CA; byte-identical across calls with the same seed."""
     if not name:
         raise CertSetupError("root authority name must be non-empty")
@@ -156,34 +178,20 @@ def make_root(name: str, trusted: bool, config: CertConfig | None = None) -> Roo
     except Exception as exc:  # pragma: no cover - keygen failure is environmental
         raise CertSetupError(f"key generation failed for root {name!r}: {exc}") from exc
 
-    subject = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, name)])
-    not_before = config.now - datetime.timedelta(days=1)
-    cert = (
-        x509.CertificateBuilder()
-        .subject_name(subject)
-        .issuer_name(subject)
-        .public_key(key.public_key())
-        .serial_number(_derive_serial(config, f"root:{name}"))
-        .not_valid_before(not_before)
-        .not_valid_after(config.now + datetime.timedelta(days=3650))
-        .add_extension(x509.BasicConstraints(ca=True, path_length=0), critical=True)
-        .add_extension(
-            x509.KeyUsage(
-                digital_signature=True,
-                key_cert_sign=True,
-                crl_sign=True,
-                content_commitment=False,
-                key_encipherment=False,
-                data_encipherment=False,
-                key_agreement=False,
-                encipher_only=False,
-                decipher_only=False,
-            ),
-            critical=True,
-        )
-        .sign(key, algorithm=None)
+    usage = x509.KeyUsage(
+        digital_signature=True,
+        key_cert_sign=True,
+        crl_sign=True,
+        content_commitment=False,
+        key_encipherment=False,
+        data_encipherment=False,
+        key_agreement=False,
+        encipher_only=False,
+        decipher_only=False,
     )
-    return RootAuthority(name=name, key_pair=key, self_signed_cert=cert, trusted_flag=trusted)
+    extensions = [(x509.BasicConstraints(ca=True, path_length=0), True), (usage, True)]
+    cert = _sign(config, name, key, f"root:{name}", 3650, extensions, None)
+    return RootAuthority(name=name, key_pair=key, self_signed_cert=cert)
 
 
 def issue_leaf(
@@ -203,33 +211,14 @@ def issue_leaf(
         if not is_valid_san(entry):
             raise InvalidSanError(f"invalid SAN entry: {entry!r}")
 
-    key = _derive_key(config, f"leaf:{cn}:{','.join(sans)}")
-    not_before = config.now - datetime.timedelta(days=1)
-    not_after = config.now + datetime.timedelta(days=validity_days)
-    cert = (
-        x509.CertificateBuilder()
-        .subject_name(x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, cn)]))
-        .issuer_name(ca.self_signed_cert.subject)
-        .public_key(key.public_key())
-        .serial_number(_derive_serial(config, f"leaf:{ca.name}:{cn}:{','.join(sans)}"))
-        .not_valid_before(not_before)
-        .not_valid_after(not_after)
-        .add_extension(x509.BasicConstraints(ca=False, path_length=None), critical=True)
-        .add_extension(
-            x509.SubjectAlternativeName([x509.DNSName(s) for s in sans]),
-            critical=False,
-        )
-        .sign(ca.key_pair, algorithm=None)
-    )
-    return LeafCertificate(
-        subject_cn=cn,
-        san_list=tuple(sans),
-        issuer=ca,
-        not_before=not_before,
-        not_after=not_after,
-        key_pair=key,
-        cert=cert,
-    )
+    names = ",".join(sans)
+    key = _derive_key(config, f"leaf:{cn}:{names}")
+    extensions = [
+        (x509.BasicConstraints(ca=False, path_length=None), True),
+        (x509.SubjectAlternativeName([x509.DNSName(s) for s in sans]), False),
+    ]
+    cert = _sign(config, cn, key, f"leaf:{ca.name}:{cn}:{names}", validity_days, extensions, ca)
+    return LeafCertificate(cert=cert, key_pair=key, issuer=ca)
 
 
 def verify_signature(cert: x509.Certificate, issuer_cert: x509.Certificate) -> bool:

@@ -60,41 +60,42 @@ def strip_comments(text: str) -> str:
     return re.sub(r"//[^\n]*", " ", text)
 
 
+def _closing(text: str, start: int) -> int:
+    """Index of the bracket closing ``text[start]``, a ``(`` or ``{``, or -1.
+
+    Only brackets of its own kind count toward the depth.
+    """
+    opening = text[start]
+    depth = 0
+    for match in re.compile("[()]" if opening == "(" else "[{}]").finditer(text, start):
+        depth += 1 if match[0] == opening else -1
+        if depth == 0:
+            return match.start()
+    return -1
+
+
 def extract_method_body(source_text: str, method_name: str) -> str:
     """Body of the first declaration of ``method_name``, braces excluded."""
     text = strip_comments(source_text)
-    pattern = re.compile(rf"\b{re.escape(method_name)}\s*\(")
-    for match in pattern.finditer(text):
+    for match in re.finditer(rf"\b{re.escape(method_name)}\s*\(", text):
         # Skip call sites: a declaration is preceded by a type or modifier,
         # not by a dot.
-        before = text[: match.start()].rstrip()
-        if before.endswith("."):
+        i = match.start() - 1
+        while i >= 0 and text[i].isspace():
+            i -= 1
+        if i >= 0 and text[i] == ".":
             continue
-        depth = 0
-        i = match.end() - 1
-        while i < len(text):  # skip the parameter list
-            if text[i] == "(":
-                depth += 1
-            elif text[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
-        rest = text[i + 1 :]
-        brace = rest.find("{")
-        semi = rest.find(";")
+        params_end = _closing(text, match.end() - 1)
+        if params_end == -1:
+            continue
+        brace = text.find("{", params_end)
+        semi = text.find(";", params_end)
         if brace == -1 or (semi != -1 and semi < brace):
             continue  # abstract or call statement
-        depth = 0
-        for j in range(brace, len(rest)):
-            ch = rest[j]
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    return rest[brace + 1 : j]
-        raise SnippetParseError(f"unbalanced braces in {method_name}")
+        end = _closing(text, brace)
+        if end == -1:
+            raise SnippetParseError(f"unbalanced braces in {method_name}")
+        return text[brace + 1 : end]
     raise SnippetParseError(f"no declaration of {method_name} found")
 
 
@@ -170,17 +171,9 @@ def _swallowed_validation(body: str) -> bool:
     if not re.search(r"checkServerTrusted|checkValidity|\.verify\s*\(", body):
         return False
     for match in re.finditer(r"catch\s*\([^)]*\)\s*\{", body):
-        depth = 0
-        for j in range(match.end() - 1, len(body)):
-            if body[j] == "{":
-                depth += 1
-            elif body[j] == "}":
-                depth -= 1
-                if depth == 0:
-                    inner = body[match.end() : j]
-                    if "throw" not in inner:
-                        return True
-                    break
+        end = _closing(body, match.end() - 1)
+        if end != -1 and "throw" not in body[match.end() : end]:
+            return True
     return False
 
 

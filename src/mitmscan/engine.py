@@ -21,13 +21,11 @@ import ssl
 import tempfile
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from cryptography import x509
 
 from .certforge import (
     CertConfig,
-    CertSetupError,
     LeafCertificate,
     RootAuthority,
     TrustStore,
@@ -54,18 +52,22 @@ class MitmMaterial:
     installed_root: RootAuthority
     client_store: TrustStore
     config: CertConfig = field(default_factory=CertConfig)
-    # (issuing root name, leaf name) -> leaf. Issuance is deterministic, so a
-    # race between handler threads at worst signs an identical leaf twice.
+    # (issuing root name, leaf name) -> leaf, and leaf -> the server context and
+    # chain PEM presenting it, which every engine of a scan shares. Both are
+    # deterministic, so a race between handler threads at worst builds one twice.
     _leaves: dict[tuple[str, str], LeafCertificate] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _served: dict[LeafCertificate, tuple[ssl.SSLContext, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     @classmethod
     def generate(cls, config: CertConfig | None = None) -> "MitmMaterial":
         config = config or CertConfig()
-        untrusted = make_root("attacker-untrusted", trusted=False, config=config)
-        lab = make_root("lab-trusted", trusted=True, config=config)
-        installed = make_root("installed-root", trusted=True, config=config)
+        untrusted = make_root("attacker-untrusted", config)
+        lab = make_root("lab-trusted", config)
+        installed = make_root("installed-root", config)
         return cls(
             untrusted_root=untrusted,
             lab_trusted_root=lab,
@@ -82,14 +84,25 @@ class MitmMaterial:
             leaf = self._leaves[key] = issue_leaf(root, name, [name], 90, self.config)
         return leaf
 
+    def serve(self, leaf: LeafCertificate) -> tuple[ssl.SSLContext, str]:
+        """The server context presenting ``leaf``, and its chain PEM, built on first serve."""
+        served = self._served.get(leaf)
+        if served is None:
+            chain_pem = leaf.chain_pem()
+            ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            ctx.num_tickets = 0  # no client resumes a session
+            with tempfile.NamedTemporaryFile(suffix=".pem") as pem:  # removed on close
+                pem.write(chain_pem + key_pem(leaf.key_pair))
+                pem.flush()
+                ctx.load_cert_chain(pem.name)
+            served = self._served[leaf] = (ctx, chain_pem.decode())
+        return served
+
 
 def forge_for(test: str, target_fqdn: str, material: MitmMaterial) -> LeafCertificate:
     """The forged leaf a given test presents for a target destination."""
     if test not in TESTS:
         raise ValueError(f"unknown test kind: {test}")
-    for attr in ("untrusted_root", "lab_trusted_root", "installed_root"):
-        if getattr(material, attr, None) is None:
-            raise CertSetupError(f"material missing {attr}")
     if test == "T1":
         return material.leaf_for(material.untrusted_root, target_fqdn)
     if test == "T2":
@@ -202,10 +215,6 @@ class MitmEngine:
         self.grace_seconds = grace_seconds
         self.freeze_time = freeze_time
         self.observed_app_ids: set[str] = set()
-        # (issuing root name, leaf name) -> the SSLContext serving that leaf, and
-        # its chain PEM. T2 serves one leaf for every host, so one context.
-        self._contexts: dict[tuple[str, str], tuple[ssl.SSLContext, str]] = {}
-        self._tmpdir = tempfile.TemporaryDirectory(prefix="mitmscan-engine-")
         self._listener: Listener | None = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -227,7 +236,6 @@ class MitmEngine:
         if self._listener:
             self._listener.stop()
             self._listener = None
-        self._tmpdir.cleanup()
 
     def __enter__(self):
         self.start()
@@ -237,21 +245,6 @@ class MitmEngine:
         self.stop()
 
     # -- per-connection flow -----------------------------------------------
-
-    def _context_for(self, leaf: LeafCertificate) -> tuple[ssl.SSLContext, str]:
-        key = (leaf.issuer.name, leaf.subject_cn)
-        if key not in self._contexts:
-            chain_pem = leaf.chain_pem()
-            base = Path(self._tmpdir.name) / f"{len(self._contexts)}"
-            chain_path = base.with_suffix(".pem")
-            key_path = base.with_suffix(".key")
-            chain_path.write_bytes(chain_pem)
-            key_path.write_bytes(key_pem(leaf.key_pair))
-            ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-            ctx.num_tickets = 0  # no client resumes a session
-            ctx.load_cert_chain(str(chain_path), str(key_path))
-            self._contexts[key] = (ctx, chain_pem.decode())
-        return self._contexts[key]
 
     def _handle_connection(self, sock: socket.socket) -> None:
         line = sock.makefile("rb").readline(MAX_PREAMBLE_BYTES)
@@ -280,7 +273,7 @@ class MitmEngine:
                 if forged
                 else legit_for(fqdn, self.material)
             )
-            ctx, chain_pem = self._context_for(leaf)
+            ctx, chain_pem = self.material.serve(leaf)
             sock.sendall(
                 json.dumps({"action": decision, "chain_pem": chain_pem}).encode() + b"\n"
             )

@@ -84,10 +84,6 @@ class FlowRecord:
     def to_json(self) -> str:
         return json.dumps(vars(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, line: str) -> "FlowRecord":
-        return cls(**json.loads(line))
-
 
 class FlowLedger:
     """Append-only flow store; record/decide are one critical section.
@@ -107,7 +103,7 @@ class FlowLedger:
         if self._path and self._path.exists():
             for line in self._complete_lines():
                 if line.strip():
-                    self._index(FlowRecord.from_json(line))
+                    self._index(FlowRecord(**json.loads(line)))
 
     def _complete_lines(self) -> list[str]:
         """The file's lines, after mending an unterminated last line.

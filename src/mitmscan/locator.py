@@ -52,12 +52,8 @@ class ValidationEvent:
         names.extend(self.cert_sans or [])
         return names
 
-    @classmethod
-    def from_json(cls, line: str) -> "ValidationEvent":
-        return cls(**json.loads(line))
-
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 @dataclass
@@ -73,7 +69,7 @@ class Attribution:
 
 def load_events(path: str | Path) -> list[ValidationEvent]:
     lines = Path(path).read_text().splitlines()
-    return [ValidationEvent.from_json(line) for line in lines if line.strip()]
+    return [ValidationEvent(**json.loads(line)) for line in lines if line.strip()]
 
 
 def save_events(events: list[ValidationEvent], path: str | Path) -> None:

@@ -317,13 +317,13 @@ def test_certificate_properties(capsys):
     failures = 0
     for case in range(100):
         cfg = CertConfig(seed=rng.randint(0, 10_000))
-        ca = make_root(f"ca-{case}", trusted=True, config=cfg)
-        decoy = make_root(f"decoy-{case}", trusted=True, config=cfg)
+        ca = make_root(f"ca-{case}", config=cfg)
+        decoy = make_root(f"decoy-{case}", config=cfg)
         in_store = rng.random() < 0.5
         store = TrustStore([ca] if in_store else [decoy])
         leaf = issue_leaf(ca, "p.example.com", ["p.example.com"], rng.randint(1, 60), cfg)
         now = cfg.now + datetime.timedelta(days=rng.randint(-40, 80))
-        in_window = leaf.not_before <= now <= leaf.not_after
+        in_window = leaf.cert.not_valid_before_utc <= now <= leaf.cert.not_valid_after_utc
         if verify_chain([leaf.cert], store, now) != (in_store and in_window):
             failures += 1
     _report(

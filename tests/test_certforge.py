@@ -23,20 +23,20 @@ UTC = datetime.timezone.utc
 
 
 def test_root_generation_is_deterministic():
-    a = make_root("ca", trusted=True, config=CertConfig(seed=3))
-    b = make_root("ca", trusted=True, config=CertConfig(seed=3))
+    a = make_root("ca", config=CertConfig(seed=3))
+    b = make_root("ca", config=CertConfig(seed=3))
     assert cert_pem(a.self_signed_cert) == cert_pem(b.self_signed_cert)
 
 
 def test_different_seeds_differ():
-    a = make_root("ca", trusted=True, config=CertConfig(seed=3))
-    b = make_root("ca", trusted=True, config=CertConfig(seed=4))
+    a = make_root("ca", config=CertConfig(seed=3))
+    b = make_root("ca", config=CertConfig(seed=4))
     assert a.fingerprint != b.fingerprint
 
 
 def test_leaf_determinism_and_names():
     cfg = CertConfig(seed=1)
-    ca = make_root("ca", trusted=True, config=cfg)
+    ca = make_root("ca", config=cfg)
     l1 = issue_leaf(ca, "a.example.com", ["a.example.com", "*.b.example.com"], 30, cfg)
     l2 = issue_leaf(ca, "a.example.com", ["a.example.com", "*.b.example.com"], 30, cfg)
     assert cert_pem(l1.cert) == cert_pem(l2.cert)
@@ -45,7 +45,7 @@ def test_leaf_determinism_and_names():
 
 def test_empty_root_name_rejected():
     with pytest.raises(CertSetupError):
-        make_root("", trusted=False)
+        make_root("")
 
 
 @pytest.mark.parametrize(
@@ -68,7 +68,7 @@ def test_san_validation(san, ok):
 
 
 def test_issue_leaf_rejects_bad_sans():
-    ca = make_root("ca", trusted=True)
+    ca = make_root("ca")
     with pytest.raises(InvalidSanError):
         issue_leaf(ca, "x", ["*.*.example.com"], 30)
     with pytest.raises(InvalidSanError):
@@ -78,16 +78,16 @@ def test_issue_leaf_rejects_bad_sans():
 
 
 def test_signature_verification():
-    ca = make_root("ca", trusted=True)
-    other = make_root("other", trusted=True)
+    ca = make_root("ca")
+    other = make_root("other")
     leaf = issue_leaf(ca, "example.com", ["example.com"], 30)
     assert verify_signature(leaf.cert, ca.self_signed_cert)
     assert not verify_signature(leaf.cert, other.self_signed_cert)
 
 
 def test_trust_store_membership_by_fingerprint():
-    ca = make_root("ca", trusted=True)
-    clone = make_root("ca", trusted=True)  # same seed, same bytes
+    ca = make_root("ca")
+    clone = make_root("ca")  # same seed, same bytes
     store = TrustStore([ca])
     assert clone in store
     assert len(store) == 1
@@ -96,7 +96,7 @@ def test_trust_store_membership_by_fingerprint():
 
 def test_verify_chain_time_window():
     cfg = CertConfig(seed=2)
-    ca = make_root("ca", trusted=True, config=cfg)
+    ca = make_root("ca", config=cfg)
     store = TrustStore([ca])
     leaf = issue_leaf(ca, "example.com", ["example.com"], 10, cfg)
     assert verify_chain([leaf.cert], store, cfg.now)
@@ -106,7 +106,7 @@ def test_verify_chain_time_window():
 
 
 def test_fingerprint_shape():
-    ca = make_root("ca", trusted=True)
+    ca = make_root("ca")
     fp = fingerprint(ca.self_signed_cert)
     assert len(fp) == 64 and fp == fp.lower()
     assert int(fp, 16) >= 0
@@ -120,10 +120,10 @@ def test_fingerprint_shape():
 )
 def test_verify_chain_iff_issuer_and_window(seed, in_store, day_offset):
     cfg = CertConfig(seed=seed)
-    ca = make_root("prop-ca", trusted=True, config=cfg)
-    decoy = make_root("decoy", trusted=True, config=cfg)
+    ca = make_root("prop-ca", config=cfg)
+    decoy = make_root("decoy", config=cfg)
     store = TrustStore([ca] if in_store else [decoy])
     leaf = issue_leaf(ca, "p.example.com", ["p.example.com"], 14, cfg)
     now = cfg.now + datetime.timedelta(days=day_offset)
-    in_window = leaf.not_before <= now <= leaf.not_after
+    in_window = leaf.cert.not_valid_before_utc <= now <= leaf.cert.not_valid_after_utc
     assert verify_chain([leaf.cert], store, now) == (in_store and in_window)

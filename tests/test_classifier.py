@@ -1,11 +1,15 @@
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mitmscan.classifier import (
     BackendError,
     Snippet,
     SnippetParseError,
+    _swallowed_validation,
     build_prompt,
     classify_llm,
     classify_llm_batch,
@@ -15,6 +19,7 @@ from mitmscan.classifier import (
     extract_method_body,
     load_corpus,
     parse_completion,
+    strip_comments,
 )
 from mitmscan.taxonomy import validate_labels
 
@@ -58,6 +63,120 @@ def test_extract_skips_call_sites():
     """
     body = extract_method_body(src, "checkServerTrusted")
     assert "inner.checkServerTrusted" in body
+
+
+def _char_loop_extract(source_text, method_name):
+    """The character-by-character extractor the bracket scanner replaced."""
+    text = strip_comments(source_text)
+    pattern = re.compile(rf"\b{re.escape(method_name)}\s*\(")
+    for match in pattern.finditer(text):
+        before = text[: match.start()].rstrip()
+        if before.endswith("."):
+            continue
+        depth = 0
+        i = match.end() - 1
+        while i < len(text):
+            if text[i] == "(":
+                depth += 1
+            elif text[i] == ")":
+                depth -= 1
+                if depth == 0:
+                    break
+            i += 1
+        rest = text[i + 1 :]
+        brace = rest.find("{")
+        semi = rest.find(";")
+        if brace == -1 or (semi != -1 and semi < brace):
+            continue
+        depth = 0
+        for j in range(brace, len(rest)):
+            ch = rest[j]
+            if ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    return rest[brace + 1 : j]
+        raise SnippetParseError(f"unbalanced braces in {method_name}")
+    raise SnippetParseError(f"no declaration of {method_name} found")
+
+
+def _char_loop_swallowed(body):
+    """The character-by-character catch-block check the bracket scanner replaced."""
+    if "try" not in body or "catch" not in body:
+        return False
+    if not re.search(r"checkServerTrusted|checkValidity|\.verify\s*\(", body):
+        return False
+    for match in re.finditer(r"catch\s*\([^)]*\)\s*\{", body):
+        depth = 0
+        for j in range(match.end() - 1, len(body)):
+            if body[j] == "{":
+                depth += 1
+            elif body[j] == "}":
+                depth -= 1
+                if depth == 0:
+                    if "throw" not in body[match.end() : j]:
+                        return True
+                    break
+    return False
+
+
+# Method bodies: try/catch blocks, validation calls, and stray brackets.
+_BODY = st.lists(
+    st.sampled_from(
+        (
+            "try {",
+            "} catch (Exception e) {",
+            "catch (E e) {",
+            "checkValidity();",
+            "chain[0].verify(key);",
+            "throw e;",
+            "return;",
+            "{",
+            "}",
+            "(",
+            ")",
+            " ",
+            "\n",
+            "/* } */",
+        )
+    ),
+    max_size=14,
+).map("".join)
+
+# Java-like text: declarations with those bodies, call sites, abstract
+# declarations and loose fragments.
+_JAVA = st.lists(
+    st.one_of(
+        _BODY.map(lambda body: "public void checkServerTrusted(X509Certificate[] c, String a) {" + body + "}"),
+        _BODY.map(lambda body: "void checkServerTrusted(Object c " + body),
+        st.sampled_from(
+            (
+                "abstract void checkServerTrusted(X509Certificate[] c);",
+                "inner.checkServerTrusted(c, a);",
+                "inner . checkServerTrusted (c);",
+            )
+        ),
+        _BODY,
+    ),
+    max_size=4,
+).map("\n".join)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SnippetParseError as exc:
+        return ("raised", str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JAVA, _BODY)
+def test_bracket_scanner_matches_the_char_loops(text, body):
+    assert _outcome(extract_method_body, text, "checkServerTrusted") == _outcome(
+        _char_loop_extract, text, "checkServerTrusted"
+    )
+    assert _swallowed_validation(body) == _char_loop_swallowed(body)
 
 
 def test_parse_failure_degrades_to_unknown():

@@ -13,31 +13,32 @@ import pytest
 
 from mitmscan import appsim
 from mitmscan.appsim import Action, FlowSpec, Screen, SyntheticApp, perform_flow
-from mitmscan.certforge import verify_chain
+from mitmscan.certforge import cert_dns_names, verify_chain
 from mitmscan.engine import (
     ATTACKER_NAME,
     MAX_PREAMBLE_BYTES,
     Listener,
     MitmEngine,
+    MitmMaterial,
     forge_for,
     legit_for,
     parse_chain_pem,
 )
 from mitmscan.fleet import expected_truth_table
-from mitmscan.flowledger import POLICY_ALWAYS, POLICY_ONCE, FlowLedger
+from mitmscan.flowledger import POLICY_ALWAYS, POLICY_ONCE, TESTS, FlowLedger, FlowRecord
 from mitmscan.profiles import ClientProfile
 
 
 def test_forge_t1_untrusted_root(material):
     leaf = forge_for("T1", "api.example.com", material)
-    assert leaf.subject_cn == "api.example.com"
+    assert cert_dns_names(leaf.cert) == ["api.example.com", "api.example.com"]
     assert leaf.issuer is material.untrusted_root
     assert not verify_chain([leaf.cert], material.client_store, material.config.now)
 
 
 def test_forge_t2_wrong_name_valid_chain(material):
     leaf = forge_for("T2", "api.example.com", material)
-    assert leaf.subject_cn == ATTACKER_NAME
+    assert cert_dns_names(leaf.cert) == [ATTACKER_NAME, ATTACKER_NAME]
     assert verify_chain([leaf.cert], material.client_store, material.config.now)
 
 
@@ -118,7 +119,7 @@ def test_engine_skip_policy(material):
     assert [r.outcome for r in ledger.records()] == ["vulnerable", "skipped"]
     # the skipped connection was served the legitimate chain
     legit = legit_for("svc.example.com", material)
-    assert legit.subject_cn == "svc.example.com"
+    assert cert_dns_names(legit.cert) == ["svc.example.com", "svc.example.com"]
 
 
 def test_engine_inconclusive_on_early_abort(material):
@@ -194,8 +195,23 @@ def test_engine_t3_records_vulnerable_flow(material):
     assert records[0].outcome == "vulnerable"
 
 
-def test_t2_engine_builds_one_context_for_every_host(material):
+def _count_context_loads(monkeypatch) -> list[str]:
+    """Every ``load_cert_chain`` call from here on, by the file it loads."""
+    loads = []
+    load = ssl.SSLContext.load_cert_chain
+
+    def counting(ctx, certfile, *args, **kwargs):
+        loads.append(certfile)
+        return load(ctx, certfile, *args, **kwargs)
+
+    monkeypatch.setattr(ssl.SSLContext, "load_cert_chain", counting)
+    return loads
+
+
+def test_t2_engine_builds_one_context_for_every_host(monkeypatch):
     """T2 serves the same leaf whatever the host, so it needs one SSLContext."""
+    material = MitmMaterial.generate()  # the session fixture keeps its contexts
+    loads = _count_context_loads(monkeypatch)
     profile = ClientProfile(trust_behavior="T1", hostname_behavior="H1")
     ledger = FlowLedger()
     with MitmEngine(material, "T2", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
@@ -207,8 +223,35 @@ def test_t2_engine_builds_one_context_for_every_host(material):
                 material.client_store,
                 material.config.now,
             )
-        assert len(engine._contexts) == 1
+    assert len(loads) == 1
     assert [r.outcome for r in ledger.records()] == ["vulnerable", "vulnerable"]
+
+
+def test_engines_share_the_context_of_a_leaf(monkeypatch):
+    """The T1-T3 engines of a scan all serve a skipped host's legitimate leaf
+    from one SSLContext, loaded once."""
+    material = MitmMaterial.generate()
+    loads = _count_context_loads(monkeypatch)
+    app = _one_screen_app("com.test.app", "svc.example.com", ClientProfile())
+    outcomes = []
+    for test in TESTS:
+        ledger = FlowLedger()
+        # Tested once before, so the once-per-host policy skips the host.
+        ledger.record_flow(
+            FlowRecord("com.test.app", "svc.example.com", "", 0, test_applied=test, outcome="secure")
+        )
+        with MitmEngine(material, test, POLICY_ONCE, ledger, grace_seconds=0.3) as engine:
+            result = perform_flow(
+                app,
+                FlowSpec("svc.example.com", "native"),
+                engine.address,
+                material.client_store,
+                material.config.now,
+            )
+        assert result.error is None
+        outcomes.append(ledger.records()[-1].outcome)
+    assert outcomes == ["skipped"] * 3
+    assert len(loads) == 1
 
 
 def test_engine_issues_no_session_ticket(material, monkeypatch):

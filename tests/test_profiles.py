@@ -16,8 +16,8 @@ from mitmscan.profiles import (
 
 CFG = CertConfig(seed=9)
 NOW = CFG.now
-TRUSTED = make_root("trusted-ca", True, CFG)
-UNTRUSTED = make_root("rogue-ca", False, CFG)
+TRUSTED = make_root("trusted-ca", CFG)
+UNTRUSTED = make_root("rogue-ca", CFG)
 STORE = TrustStore([TRUSTED])
 
 GOOD = issue_leaf(TRUSTED, "api.example.com", ["api.example.com"], 30, CFG)
