@@ -18,8 +18,10 @@ import ssl
 import time
 from dataclasses import dataclass, field
 
+from cryptography import x509
+
 from .certforge import TrustStore
-from .engine import Listener, parse_chain_pem
+from .engine import Listener
 from .flowledger import CHANNELS, POLICIES
 from .profiles import ClientProfile, client_accepts
 
@@ -202,10 +204,10 @@ class SessionResult:
 def _client_context() -> ssl.SSLContext:
     """The one client context, built on the first flow.
 
-    The verdict comes from client_accepts on the echoed chain, so the
-    handshake verifies nothing and the context holds no per-flow state.
-    Building it on first use keeps OpenSSL's set-up out of processes that
-    make no flow.
+    The verdict comes from client_accepts on the chain the handshake served,
+    so the handshake itself verifies nothing and the context holds no
+    per-flow state. Building it on first use keeps OpenSSL's set-up out of
+    processes that make no flow.
     """
     ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
     ctx.check_hostname = False
@@ -214,7 +216,7 @@ def _client_context() -> ssl.SSLContext:
 
 
 def _read_line(sock: socket.socket) -> bytes:
-    """The engine's reply line, read in chunks.
+    """The engine's reply line, read in chunks and left unused.
 
     Chunks are safe: the engine sends nothing after the line until the
     client's ClientHello, so no TLS bytes are consumed here.
@@ -230,6 +232,12 @@ def _read_line(sock: socket.socket) -> bytes:
     return bytes(buf)
 
 
+def served_chain(tls: ssl.SSLSocket | ssl.SSLObject) -> list[x509.Certificate]:
+    """The chain the peer presented in the handshake, leaf first, unverified."""
+    chain = tls._sslobj.get_unverified_chain() or ()
+    return [x509.load_der_x509_certificate(c.public_bytes(ssl._ssl.ENCODING_DER)) for c in chain]
+
+
 def perform_flow(
     app: SyntheticApp,
     spec: FlowSpec,
@@ -238,7 +246,7 @@ def perform_flow(
     now: datetime.datetime,
     timeout: float = 10.0,
 ) -> FlowResult:
-    """Run one intercepted flow: preamble, TLS handshake, accept or abort."""
+    """Run one intercepted flow: preamble, TLS handshake, then a verdict on the served chain."""
     try:
         raw = socket.create_connection(engine_addr, timeout=timeout)
     except OSError as exc:
@@ -248,17 +256,16 @@ def perform_flow(
         raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         preamble = {"app_id": app.app_id, "fqdn": spec.fqdn, "channel": spec.channel}
         raw.sendall(json.dumps(preamble).encode() + b"\n")
-        reply = json.loads(_read_line(raw))
-        chain = parse_chain_pem(reply["chain_pem"])
-        accepted = client_accepts(app.profile, chain, spec.fqdn, spec.channel, store, now)
-
+        _read_line(raw)
         tls = _client_context().wrap_socket(raw, server_hostname=spec.fqdn)
+        chain = served_chain(tls)
+        accepted = client_accepts(app.profile, chain, spec.fqdn, spec.channel, store, now)
         if accepted:
             tls.sendall(b"ping")
             tls.recv(64)
         tls.close()
         return FlowResult(spec.fqdn, spec.channel, "MITM", accepted)
-    except (OSError, ssl.SSLError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, ssl.SSLError, ValueError) as exc:
         return FlowResult(spec.fqdn, spec.channel, "MITM", None, str(exc))
     finally:
         raw.close()

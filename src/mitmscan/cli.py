@@ -23,6 +23,8 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
+DEFAULT_GRACE_SECONDS = 1.0
+
 
 class ConfigError(Exception):
     """Invalid configuration or missing inputs; maps to exit code 2."""
@@ -118,8 +120,6 @@ def cmd_scan(args) -> int:
     }
     events: list[locator.ValidationEvent] = []
     entity_summaries = {}
-    grace = args.grace if args.grace is not None else 1.0
-
     for test in TESTS:
         ledger_path = out / f"ledger_{test}.jsonl"
         ledger_path.touch()
@@ -129,7 +129,7 @@ def cmd_scan(args) -> int:
             test,
             config.policy,
             ledger,
-            grace_seconds=grace,
+            grace_seconds=args.grace,
             freeze_time=args.freeze_time,
         )
         with engine:
@@ -362,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--strategy", choices=appsim.STRATEGIES)
     scan.add_argument("--policy", choices=sorted(POLICY_ALIASES))
     scan.add_argument("--seed", type=int)
-    scan.add_argument("--grace", type=float, help="post-handshake grace window seconds")
+    scan.add_argument("--grace", type=float, default=DEFAULT_GRACE_SECONDS,
+                      help="post-handshake grace window seconds (default %(default)s)")
     scan.add_argument("--freeze-time", action="store_true", help="pin report timestamps")
     scan.set_defaults(func=cmd_scan)
 

@@ -3,12 +3,12 @@
 Connections arrive over localhost TCP with a one-line JSON preamble carrying
 the forwarder metadata (app id, destination FQDN, channel); a preamble longer
 than ``MAX_PREAMBLE_BYTES`` or left unterminated drops the connection. The
-engine replies with the chain it is about to present, then runs a real TLS
-handshake over the same socket. The preamble stands in for the per-app VPN
-forwarder. Clients decide on the echoed chain, although the stdlib exposes the
-chain a handshake served (``_sslobj.get_unverified_chain()`` since 3.10): the
-benchmark's OpenSSL check, ``perfbench/checks.ssl_verdicts``, reads the reply
-line before its handshake, so the echo can only go together with that read.
+preamble stands in for the per-app VPN forwarder. The engine answers with a
+one-line JSON reply, ``{"action": "test" | "skip"}``, then runs a real TLS
+handshake over the same socket, and clients decide on the chain that
+handshake served. Clients read the reply and use none of it: it stays only
+because the benchmark's OpenSSL check, ``perfbench/checks.ssl_verdicts``,
+waits for a line before its handshake, and it goes when that check stops.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import ssl
 import tempfile
 import threading
 from dataclasses import dataclass, field
-
-from cryptography import x509
 
 from .certforge import (
     CertConfig,
@@ -38,7 +36,6 @@ from .flowledger import TESTS, DedupKey, FlowLedger, FlowRecord
 log = logging.getLogger(__name__)
 
 ATTACKER_NAME = "attacker.invalid"
-DEFAULT_GRACE_SECONDS = 3.0
 FROZEN_WALL_TS = "2025-04-01T00:00:00+00:00"
 MAX_PREAMBLE_BYTES = 4096
 
@@ -52,13 +49,13 @@ class MitmMaterial:
     installed_root: RootAuthority
     client_store: TrustStore
     config: CertConfig = field(default_factory=CertConfig)
-    # (issuing root name, leaf name) -> leaf, and leaf -> the server context and
-    # chain PEM presenting it, which every engine of a scan shares. Both are
+    # (issuing root name, leaf name) -> leaf, and leaf -> the server context
+    # presenting it, which every engine of a scan shares. Both are
     # deterministic, so a race between handler threads at worst builds one twice.
     _leaves: dict[tuple[str, str], LeafCertificate] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _served: dict[LeafCertificate, tuple[ssl.SSLContext, str]] = field(
+    _served: dict[LeafCertificate, ssl.SSLContext] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -84,19 +81,18 @@ class MitmMaterial:
             leaf = self._leaves[key] = issue_leaf(root, name, [name], 90, self.config)
         return leaf
 
-    def serve(self, leaf: LeafCertificate) -> tuple[ssl.SSLContext, str]:
-        """The server context presenting ``leaf``, and its chain PEM, built on first serve."""
-        served = self._served.get(leaf)
-        if served is None:
-            chain_pem = leaf.chain_pem()
+    def serve(self, leaf: LeafCertificate) -> ssl.SSLContext:
+        """The server context presenting ``leaf`` and its issuer, built on first serve."""
+        ctx = self._served.get(leaf)
+        if ctx is None:
             ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
             ctx.num_tickets = 0  # no client resumes a session
             with tempfile.NamedTemporaryFile(suffix=".pem") as pem:  # removed on close
-                pem.write(chain_pem + key_pem(leaf.key_pair))
+                pem.write(leaf.chain_pem() + key_pem(leaf.key_pair))
                 pem.flush()
                 ctx.load_cert_chain(pem.name)
-            served = self._served[leaf] = (ctx, chain_pem.decode())
-        return served
+            self._served[leaf] = ctx
+        return ctx
 
 
 def forge_for(test: str, target_fqdn: str, material: MitmMaterial) -> LeafCertificate:
@@ -203,7 +199,7 @@ class MitmEngine:
         test: str,
         policy: str,
         ledger: FlowLedger,
-        grace_seconds: float = DEFAULT_GRACE_SECONDS,
+        grace_seconds: float,
         freeze_time: bool = False,
     ):
         if test not in TESTS:
@@ -273,10 +269,8 @@ class MitmEngine:
                 if forged
                 else legit_for(fqdn, self.material)
             )
-            ctx, chain_pem = self.material.serve(leaf)
-            sock.sendall(
-                json.dumps({"action": decision, "chain_pem": chain_pem}).encode() + b"\n"
-            )
+            ctx = self.material.serve(leaf)
+            sock.sendall(json.dumps({"action": decision}).encode() + b"\n")
             result = self._run_tls(sock, ctx)
             outcome = "skipped" if not forged else result.outcome
             self._record(app_id, fqdn, channel, outcome, result)
@@ -353,7 +347,3 @@ class MitmEngine:
             )
         )
 
-
-def parse_chain_pem(pem: str) -> list[x509.Certificate]:
-    """Split concatenated PEM into certificates, leaf first."""
-    return x509.load_pem_x509_certificates(pem.encode())

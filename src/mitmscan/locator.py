@@ -79,17 +79,17 @@ def save_events(events: list[ValidationEvent], path: str | Path) -> None:
 
 
 def match_cert_names(fqdn: str, names: list[str]) -> bool:
-    """Case-insensitive exact match, or a single leftmost-label wildcard.
+    """Case-insensitive exact match, or a single leftmost-label wildcard, as OpenSSL does.
 
-    ``*.example.com`` matches ``a.example.com`` but not ``example.com`` or
-    ``a.b.example.com``.
+    ``*.example.com`` matches ``a.example.com`` but not ``example.com``,
+    ``a.b.example.com`` or ``a.example.com.``; ``*.example`` matches nothing.
     """
-    fqdn = normalize_fqdn(fqdn)
+    fqdn = fqdn.lower()
     for name in names:
         name = normalize_fqdn(name)
         if name == fqdn:
             return True
-        if name.startswith("*."):
+        if name.startswith("*.") and "." in name[2:]:
             suffix = name[2:]
             if fqdn.endswith("." + suffix) and fqdn.count(".") == suffix.count(".") + 1:
                 return True

@@ -2,6 +2,7 @@
 
 import datetime
 import filecmp
+import hashlib
 import random
 import re
 import time
@@ -281,11 +282,25 @@ def test_metrics_oracle_equivalence(capsys):
     )
 
 
+# sha256 of each file the --seed 7 --freeze-time scan and its report write. A
+# change that alters these bytes on purpose updates the digests and says why.
+FROZEN_SHA256 = {
+    "scan/scan_report.json": "e76b49093a9f1e20df12cdb953761386af91bbe6ffdb3b8072d35e64b7254889",
+    "scan/ledger_T1.jsonl": "b028194a3b5c298e248af0c1f9ce17b0076b1bd0581888a18bce26af761fef60",
+    "scan/ledger_T2.jsonl": "4cb194031d6ddbcb52aa15960d880cba6268a43eaad98100cba7723376dc466b",
+    "scan/ledger_T3.jsonl": "d159a4551898511fe3a8ab6e987db975653c10cfa009de57fee787c3086c9288",
+    "scan/events.jsonl": "1d61905a158742aa4b71a83f32a00f8aa9c61d4c69b6d2d47ef960650b4fa7ac",
+    "scan/fleet.json": "7e848aafac32fd4df89906e087be63f57f9db0b84a3aa0d143698bf078904201",
+    "report/report.json": "5594e730e7c9842e0e562c765e110ab1fb2070bd626a53e88db1ae671650c4c2",
+    "report/cdf_per_app_ratio.csv": "f5e27fc0c25963cbd5e3888aa0382f2eaa7942c6c59f4788be114fc25105d762",
+}
+
+
 def test_end_to_end_determinism(tmp_path, capsys):
     outputs = []
     for run in ("one", "two"):
-        scan_out = tmp_path / f"scan_{run}"
-        report_out = tmp_path / f"report_{run}"
+        scan_out = tmp_path / run / "scan"
+        report_out = tmp_path / run / "report"
         assert cli.main([
             "scan", "--out", str(scan_out), "--seed", "7", "--freeze-time",
             "--strategy", "scripted", "--policy", "always", "--grace", "0.5",
@@ -296,7 +311,13 @@ def test_end_to_end_determinism(tmp_path, capsys):
         outputs.append((scan_out, report_out))
 
     (scan1, rep1), (scan2, rep2) = outputs
-    identical = True
+    first = tmp_path / "one"
+    changed = sorted(
+        name for name, digest in FROZEN_SHA256.items()
+        if not (first / name).is_file()
+        or hashlib.sha256((first / name).read_bytes()).hexdigest() != digest
+    )
+    identical = not changed
     for d1, d2 in ((scan1, scan2), (rep1, rep2)):
         names = sorted(p.name for p in d1.iterdir())
         if names != sorted(p.name for p in d2.iterdir()):
@@ -309,6 +330,7 @@ def test_end_to_end_determinism(tmp_path, capsys):
         capsys,
         "end-to-end determinism (--seed 7 --freeze-time, byte-identical)",
         identical,
+        f"sha256 changed: {', '.join(changed)}" if changed else "",
     )
 
 

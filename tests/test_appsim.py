@@ -228,7 +228,7 @@ def test_flow_with_an_oversized_reply_is_an_error(material):
     def oversized_reply(conn):
         conn.makefile("rb").readline()
         try:
-            conn.sendall(json.dumps({"chain_pem": "x" * MAX_REPLY_BYTES}).encode() + b"\n")
+            conn.sendall(json.dumps({"action": "x" * MAX_REPLY_BYTES}).encode() + b"\n")
         except OSError:
             pass  # the client hangs up once it has read past its limit
 

@@ -22,7 +22,6 @@ from mitmscan.engine import (
     MitmMaterial,
     forge_for,
     legit_for,
-    parse_chain_pem,
 )
 from mitmscan.fleet import expected_truth_table
 from mitmscan.flowledger import POLICY_ALWAYS, POLICY_ONCE, TESTS, FlowLedger, FlowRecord
@@ -163,29 +162,19 @@ def test_client_gone_after_reply_is_inconclusive_and_leaves_no_socket(material, 
     assert [r.outcome for r in ledger.records()] == ["inconclusive"] * 20
 
 
-def test_preamble_chain_matches_presented(material):
-    """The chain echoed in the preamble is the chain served in the handshake."""
-    ledger = FlowLedger()
-    with MitmEngine(material, "T2", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
-        sock = socket.create_connection(engine.address, timeout=5)
-        sock.sendall(
-            json.dumps({"app_id": "com.test.app", "fqdn": "svc.example.com", "channel": "native"}).encode()
-            + b"\n"
-        )
-        buf = b""
-        while not buf.endswith(b"\n"):
-            buf += sock.recv(1)
-        reply = json.loads(buf)
-        chain = parse_chain_pem(reply["chain_pem"])
-        ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
-        ctx.check_hostname = False
-        ctx.verify_mode = ssl.CERT_NONE
-        tls = ctx.wrap_socket(sock, server_hostname="svc.example.com")
-        presented = tls.getpeercert(binary_form=True)
-        from cryptography.hazmat.primitives import serialization
+def test_client_decides_on_the_chain_the_handshake_served(material, monkeypatch):
+    """A correct client judges the chain it was served, not the one the engine
+    picked: a T1 engine made to serve the legitimate leaf gets accepted."""
+    serve = MitmMaterial.serve
 
-        assert chain[0].public_bytes(serialization.Encoding.DER) == presented
-        tls.close()
+    def serve_legit(self, leaf):
+        return serve(self, legit_for("svc.example.com", self))
+
+    monkeypatch.setattr(MitmMaterial, "serve", serve_legit)
+    records, result = _run_one(material, "T1", ClientProfile())
+    assert result.error is None
+    assert result.accepted is True
+    assert [r.outcome for r in records] == ["vulnerable"]
 
 
 def test_engine_t3_records_vulnerable_flow(material):

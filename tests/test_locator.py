@@ -74,6 +74,8 @@ def test_event_round_trip(tmp_path):
         ("a.b.example.com", ["*.example.com"], False),
         ("a.example.com", ["b.example.com"], False),
         ("a.example.com", [], False),
+        ("a.example", ["*.example"], False),  # a wildcard needs a dot in its suffix
+        ("a.example.com.", ["a.example.com"], False),  # the host's trailing dot is kept
     ],
 )
 def test_match_cert_names(fqdn, names, ok):
