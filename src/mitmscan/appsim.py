@@ -1,9 +1,10 @@
 """Synthetic app fleet: scripted UI exploration driving real TLS flows.
 
 Each synthetic app is a small screen graph. Exercising an action triggers
-network flows; flows to hosts in the routing allowlist are forwarded to the
-interception engine, everything else goes to a plain echo endpoint. The app's
-TLS client behavior comes from its :class:`~mitmscan.profiles.ClientProfile`.
+network flows. Flows to hosts in the scan's allowlist go to the interception
+engine; any other flow is counted as DIRECT and opens no socket, as traffic
+outside a per-app VPN's set is never measured. The app's TLS client behavior
+comes from its :class:`~mitmscan.profiles.ClientProfile`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from cryptography import x509
 
 from .certforge import TrustStore
-from .engine import Listener
 from .flowledger import CHANNELS, POLICIES
 from .profiles import ClientProfile, client_accepts
 
@@ -103,16 +103,6 @@ class SyntheticApp:
         return list(seen)
 
 
-class RoutingTable:
-    """Per-host routing decision: MITM for allowlisted hosts, DIRECT otherwise."""
-
-    def __init__(self, mitm_hosts: set[str] | None = None):
-        self.mitm_hosts = {h.lower() for h in (mitm_hosts or set())}
-
-    def route(self, fqdn: str) -> str:
-        return "MITM" if fqdn.lower() in self.mitm_hosts else "DIRECT"
-
-
 # -- exploration strategies --------------------------------------------------
 
 
@@ -188,7 +178,7 @@ class FlowResult:
     fqdn: str
     channel: str
     route: str
-    accepted: bool | None  # None for DIRECT flows and transport errors
+    accepted: bool | None  # None when not intercepted (DIRECT) or on a transport error
     error: str | None = None
 
 
@@ -271,30 +261,20 @@ def perform_flow(
         raw.close()
 
 
-def perform_direct_flow(
-    spec: FlowSpec, direct_addr: tuple[str, int], timeout: float = 10.0
-) -> FlowResult:
-    try:
-        with socket.create_connection(direct_addr, timeout=timeout) as sock:
-            sock.sendall(b"ping")
-            sock.recv(64)
-        return FlowResult(spec.fqdn, spec.channel, "DIRECT", None)
-    except OSError as exc:
-        return FlowResult(spec.fqdn, spec.channel, "DIRECT", None, str(exc))
-
-
 def execute_session(
     app: SyntheticApp,
     config: ScanConfig,
-    routing: RoutingTable,
+    mitm_hosts: set[str],
     engine_addr: tuple[str, int],
-    direct_addr: tuple[str, int] | None,
     store: TrustStore,
     now: datetime.datetime,
     script: list[str] | None = None,
     llm=None,
 ) -> SessionResult:
-    """Explore one app sequentially, executing every flow its actions trigger."""
+    """Explore one app sequentially, executing every flow its actions trigger.
+
+    A flow goes to the engine when its host, lowercased, is in ``mitm_hosts``.
+    """
     rng = random.Random(f"{config.seed}:{app.app_id}")
     result = SessionResult(app_id=app.app_id)
     screen = app.screens[app.start_screen]
@@ -309,12 +289,8 @@ def execute_session(
         step += 1
         result.steps_taken = step
         for spec in action.flows:
-            if routing.route(spec.fqdn) == "MITM":
-                result.flows.append(
-                    perform_flow(app, spec, engine_addr, store, now)
-                )
-            elif direct_addr is not None:
-                result.flows.append(perform_direct_flow(spec, direct_addr))
+            if spec.fqdn.lower() in mitm_hosts:
+                result.flows.append(perform_flow(app, spec, engine_addr, store, now))
             else:
                 result.flows.append(FlowResult(spec.fqdn, spec.channel, "DIRECT", None))
         if action.label == BACK_ACTION:
@@ -326,39 +302,3 @@ def execute_session(
         if config.t_wait:
             time.sleep(config.t_wait)
     return result
-
-
-# -- plain echo endpoint for DIRECT traffic -----------------------------------
-
-
-def _echo(conn: socket.socket) -> None:
-    try:
-        data = conn.recv(4096)
-        if data:
-            conn.sendall(data)
-    except OSError:
-        pass
-
-
-class EchoServer:
-    """Plain TCP echo endpoint standing in for untouched upstream servers."""
-
-    def __init__(self):
-        self._listener = Listener(_echo, timeout=10.0)
-
-    def start(self) -> tuple[str, int]:
-        return self._listener.start()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._listener.address
-
-    def stop(self) -> None:
-        self._listener.stop()
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc):
-        self.stop()

@@ -114,7 +114,7 @@ def key_pem(key: Ed25519PrivateKey) -> bytes:
 
 
 def is_valid_san(entry: str) -> bool:
-    """Accepts FQDNs and single leftmost-label wildcards (``*.suffix``)."""
+    """Accepts ASCII FQDNs (A-labels) and single leftmost-label wildcards (``*.suffix``)."""
     if not entry or entry != entry.strip().lower() or entry.endswith("."):
         return False
     labels = entry.split(".")
@@ -125,7 +125,7 @@ def is_valid_san(entry: str) -> bool:
     for label in labels:
         if not label or len(label) > 63:
             return False
-        if not all(c.isalnum() or c == "-" for c in label):
+        if not all(c.isascii() and (c.isalnum() or c == "-") for c in label):
             return False
         if label.startswith("-") or label.endswith("-"):
             return False

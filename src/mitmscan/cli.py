@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import datetime
 import json
 import logging
 import os
@@ -14,7 +13,7 @@ from pathlib import Path
 
 from . import appsim, classifier, fleet, locator, metrics, party
 from .certforge import CertConfig, cert_dns_names
-from .engine import FROZEN_WALL_TS, MitmEngine, MitmMaterial, forge_for
+from .engine import MitmEngine, MitmMaterial, forge_for, wall_clock
 from .flowledger import POLICY_ALIASES, TESTS, FlowLedger
 
 log = logging.getLogger(__name__)
@@ -28,12 +27,6 @@ DEFAULT_GRACE_SECONDS = 1.0
 
 class ConfigError(Exception):
     """Invalid configuration or missing inputs; maps to exit code 2."""
-
-
-def _utc_now(freeze: bool) -> str:
-    if freeze:
-        return FROZEN_WALL_TS
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 # -- scan ----------------------------------------------------------------------
@@ -97,23 +90,27 @@ def _event_for_flow(rec, material) -> locator.ValidationEvent:
     )
 
 
-def cmd_scan(args) -> int:
-    config, allowlist = _load_scan_config(args)
-    llm = _llm_backend_from_env() if config.strategy == "external_llm" else None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.monotonic()
+def run_scan(
+    config: appsim.ScanConfig,
+    apps: list[appsim.SyntheticApp],
+    allowlist: list[str] | None,
+    out: Path,
+    material: MitmMaterial,
+    grace: float,
+    freeze_time: bool,
+    llm=None,
+) -> None:
+    """Scan ``apps`` under T1, T2 and T3, and write the scan's files to ``out``.
 
-    material = MitmMaterial.generate(CertConfig(seed=config.seed))
-    if args.fleet:
-        apps = fleet.load_fleet(args.fleet)
-    else:
-        apps = fleet.demo_fleet(material)
+    Only hosts in ``allowlist`` (default: every host of the fleet) reach the
+    engines. ``out`` gets one ledger per test, ``events.jsonl``,
+    ``fleet.json`` and ``scan_report.json``.
+    """
+    started = time.monotonic()
+    out.mkdir(parents=True, exist_ok=True)
     if allowlist is None:
         allowlist = sorted({f for app in apps for f in app.fqdns()})
-    routing = appsim.RoutingTable(set(allowlist))
-    now = material.config.now
-
+    mitm_hosts = {h.lower() for h in allowlist}
     per_app: dict[str, dict] = {
         app.app_id: {"steps": 0, "flows": 0, "partial": False, "vulnerable": {}}
         for app in apps
@@ -124,32 +121,18 @@ def cmd_scan(args) -> int:
         ledger_path = out / f"ledger_{test}.jsonl"
         ledger_path.touch()
         ledger = FlowLedger(ledger_path)
-        engine = MitmEngine(
-            material,
-            test,
-            config.policy,
-            ledger,
-            grace_seconds=args.grace,
-            freeze_time=args.freeze_time,
-        )
-        with engine:
+        with MitmEngine(
+            material, test, config.policy, ledger, grace_seconds=grace, freeze_time=freeze_time
+        ) as engine:
             for app in apps:
                 script = None
+                session_config = config
                 if config.strategy == "scripted":
                     script = [a.label for a in app.screens[app.start_screen].actions]
                     session_config = dataclasses.replace(config, n_steps=len(script) or 1)
-                else:
-                    session_config = config
                 session = appsim.execute_session(
-                    app,
-                    session_config,
-                    routing,
-                    engine.address,
-                    None,
-                    material.client_store,
-                    now,
-                    script=script,
-                    llm=llm,
+                    app, session_config, mitm_hosts, engine.address,
+                    material.client_store, material.config.now, script=script, llm=llm,
                 )
                 stats = per_app[app.app_id]
                 stats["steps"] += session.steps_taken
@@ -168,9 +151,8 @@ def cmd_scan(args) -> int:
 
     locator.save_events(events, out / "events.jsonl")
     fleet.save_fleet(apps, out / "fleet.json")
-
     report = {
-        "generated_at": _utc_now(args.freeze_time),
+        "generated_at": wall_clock(freeze_time),
         "config": {
             "strategy": config.strategy,
             "n_steps": config.n_steps,
@@ -182,10 +164,24 @@ def cmd_scan(args) -> int:
         },
         "apps": per_app,
         "entities": entity_summaries,
-        "elapsed_seconds": 0.0 if args.freeze_time else round(time.monotonic() - started, 3),
+        "elapsed_seconds": 0.0 if freeze_time else round(time.monotonic() - started, 3),
     }
     (out / "scan_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"scan complete: {len(apps)} apps, reports in {out}")
+
+
+def cmd_scan(args) -> int:
+    config, allowlist = _load_scan_config(args)
+    llm = _llm_backend_from_env() if config.strategy == "external_llm" else None
+    material = MitmMaterial.generate(CertConfig(seed=config.seed))
+    if args.fleet:
+        try:
+            apps = fleet.load_fleet(args.fleet)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot load fleet {args.fleet}: {exc}") from exc
+    else:
+        apps = fleet.demo_fleet(material)
+    run_scan(config, apps, allowlist, Path(args.out), material, args.grace, args.freeze_time, llm)
+    print(f"scan complete: {len(apps)} apps, reports in {args.out}")
     return EXIT_OK
 
 
@@ -327,7 +323,7 @@ def cmd_report(args) -> int:
     metrics.write_cdf_csv(points, out / "cdf_per_app_ratio.csv")
 
     report = {
-        "generated_at": _utc_now(args.freeze_time),
+        "generated_at": wall_clock(args.freeze_time),
         "prevalence": prevalence_by_test,
         "party_attribution": party_report,
         "cdf_files": ["cdf_per_app_ratio.csv"],

@@ -1,14 +1,15 @@
 """TLS interception engine: terminate flows with forged chains, classify outcomes.
 
 Connections arrive over localhost TCP with a one-line JSON preamble carrying
-the forwarder metadata (app id, destination FQDN, channel); a preamble longer
-than ``MAX_PREAMBLE_BYTES`` or left unterminated drops the connection. The
-preamble stands in for the per-app VPN forwarder. The engine answers with a
-one-line JSON reply, ``{"action": "test" | "skip"}``, then runs a real TLS
-handshake over the same socket, and clients decide on the chain that
-handshake served. Clients read the reply and use none of it: it stays only
-because the benchmark's OpenSSL check, ``perfbench/checks.ssl_verdicts``,
-waits for a line before its handshake, and it goes when that check stops.
+the forwarder metadata (app id, destination FQDN, channel); it stands in for
+the per-app VPN forwarder. A preamble over ``MAX_PREAMBLE_BYTES``,
+unterminated or malformed drops the connection with one warning and no
+reply. Otherwise the engine answers with a one-line JSON reply,
+``{"action": "test" | "skip"}``, then runs a real TLS handshake over the
+same socket, and clients decide on the chain that handshake served. Clients
+read the reply and use none of it: it stays only because the benchmark's
+OpenSSL check, ``perfbench/checks.ssl_verdicts``, waits for a line before
+its handshake, and it goes when that check stops.
 """
 
 from __future__ import annotations
@@ -27,17 +28,25 @@ from .certforge import (
     LeafCertificate,
     RootAuthority,
     TrustStore,
+    is_valid_san,
     issue_leaf,
     key_pem,
     make_root,
 )
-from .flowledger import TESTS, DedupKey, FlowLedger, FlowRecord
+from .flowledger import CHANNELS, TESTS, DedupKey, FlowLedger, FlowRecord, normalize_fqdn
 
 log = logging.getLogger(__name__)
 
 ATTACKER_NAME = "attacker.invalid"
 FROZEN_WALL_TS = "2025-04-01T00:00:00+00:00"
 MAX_PREAMBLE_BYTES = 4096
+
+
+def wall_clock(frozen: bool) -> str:
+    """The wall time to write: ``FROZEN_WALL_TS`` under --freeze-time, else now (UTC)."""
+    if frozen:
+        return FROZEN_WALL_TS
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 @dataclass
@@ -109,6 +118,36 @@ def forge_for(test: str, target_fqdn: str, material: MitmMaterial) -> LeafCertif
 def legit_for(target_fqdn: str, material: MitmMaterial) -> LeafCertificate:
     """A correct-name, trusted-chain leaf, presented when a test is skipped."""
     return material.leaf_for(material.lab_trusted_root, target_fqdn)
+
+
+def _read_preamble(sock: socket.socket) -> tuple[str, str, str] | None:
+    """The preamble's (app id, normalized host, channel), or None to drop the flow.
+
+    The host is normalized here, so a leaf is forged for the name the ledger
+    records.
+    """
+    line = sock.makefile("rb").readline(MAX_PREAMBLE_BYTES)
+    if not line:
+        return None
+    if not line.endswith(b"\n"):
+        problem = f"unterminated or over {MAX_PREAMBLE_BYTES} bytes"
+    else:
+        try:
+            meta = json.loads(line)
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            problem = "not a JSON object"
+        elif not isinstance(meta.get("app_id"), str) or not isinstance(meta.get("fqdn"), str):
+            problem = "without a string app_id and fqdn"
+        elif meta.get("channel", "native") not in CHANNELS:
+            problem = f"with unknown channel {meta['channel']!r}"
+        elif not is_valid_san(fqdn := normalize_fqdn(meta["fqdn"])):
+            problem = f"with host {meta['fqdn']!r}, which no certificate can name"
+        else:
+            return meta["app_id"], fqdn, meta.get("channel", "native")
+    log.warning("dropping connection: preamble %s", problem)
+    return None
 
 
 class Listener:
@@ -210,7 +249,6 @@ class MitmEngine:
         self.ledger = ledger
         self.grace_seconds = grace_seconds
         self.freeze_time = freeze_time
-        self.observed_app_ids: set[str] = set()
         self._listener: Listener | None = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -243,20 +281,10 @@ class MitmEngine:
     # -- per-connection flow -----------------------------------------------
 
     def _handle_connection(self, sock: socket.socket) -> None:
-        line = sock.makefile("rb").readline(MAX_PREAMBLE_BYTES)
-        if not line:
+        preamble = _read_preamble(sock)
+        if preamble is None:
             return
-        if not line.endswith(b"\n"):
-            log.warning(
-                "dropping connection: preamble unterminated or over %d bytes",
-                MAX_PREAMBLE_BYTES,
-            )
-            return
-        meta = json.loads(line)
-        app_id = meta["app_id"]
-        fqdn = meta["fqdn"]
-        channel = meta.get("channel", "native")
-        self.observed_app_ids.add(app_id)
+        app_id, fqdn, channel = preamble
 
         # Decide-then-record is one critical section per flow.
         with self.ledger.lock:
@@ -328,17 +356,12 @@ class MitmEngine:
     def _record(
         self, app_id: str, fqdn: str, channel: str, outcome: str, tls: "_TlsResult"
     ) -> None:
-        ts_mono = self.ledger.next_ts_mono()
-        if self.freeze_time:
-            ts_wall = FROZEN_WALL_TS
-        else:
-            ts_wall = datetime.datetime.now(datetime.timezone.utc).isoformat()
         self.ledger.record_flow(
             FlowRecord(
                 app_id=app_id,
                 fqdn=fqdn,
-                ts_wall=ts_wall,
-                ts_mono=ts_mono,
+                ts_wall=wall_clock(self.freeze_time),
+                ts_mono=self.ledger.next_ts_mono(),
                 transport="TCP",
                 tls_version=tls.tls_version,
                 channel=channel,

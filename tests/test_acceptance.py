@@ -10,15 +10,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from mitmscan import cli, metrics
-from mitmscan.appsim import EchoServer, RoutingTable, ScanConfig, execute_session
+from mitmscan.appsim import ScanConfig
 from mitmscan.certforge import CertConfig, TrustStore, issue_leaf, make_root, verify_chain
 from mitmscan.classifier import classify_rule, load_corpus
-from mitmscan.engine import MitmEngine
 from mitmscan.fleet import demo_fleet, expected_truth_table
 from mitmscan.flowledger import (
     POLICY_ALWAYS,
     POLICY_ONCE,
     POLICY_UNTIL_VULNERABLE,
+    TESTS,
     DedupKey,
     FlowLedger,
     FlowRecord,
@@ -47,27 +47,16 @@ def _report(capsys, name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def test_truth_table_conformance(material, capsys):
+def test_truth_table_conformance(material, tmp_path, capsys):
     started = time.monotonic()
     apps = demo_fleet(material)
     expected = expected_truth_table(apps, material)
-    now = material.config.now
+    config = ScanConfig(strategy="scripted", policy=POLICY_ALWAYS, seed=7)
+    cli.run_scan(config, apps, None, tmp_path, material, grace=0.5, freeze_time=True)
     mismatches = []
     total = 0
-    for test in ("T1", "T2", "T3"):
-        ledger = FlowLedger()
-        with MitmEngine(material, test, POLICY_ALWAYS, ledger, grace_seconds=0.5) as engine:
-            for app in apps:
-                routing = RoutingTable(set(app.fqdns()))
-                script = [a.label for a in app.screens["home"].actions]
-                config = ScanConfig(
-                    strategy="scripted", n_steps=len(script), policy=POLICY_ALWAYS, seed=7
-                )
-                execute_session(
-                    app, config, routing, engine.address, None,
-                    material.client_store, now, script=script,
-                )
-        for rec in ledger.records():
+    for test in TESTS:
+        for rec in FlowLedger(tmp_path / f"ledger_{test}.jsonl").records():
             total += 1
             want = expected[(rec.app_id, rec.fqdn, test, rec.channel)]
             if rec.outcome != want:
@@ -122,34 +111,30 @@ def test_retest_policy_ledgers(capsys):
     )
 
 
-def test_routing_isolation(material, capsys):
+def test_routing_isolation(material, tmp_path, capsys):
+    """Only allowlisted hosts reach the engines, whatever the case of the allowlist."""
     apps = demo_fleet(material)
-    violations = 0
-    with EchoServer() as echo:
-        for trial in range(10):
-            rng = random.Random(trial)
-            allowed_apps = rng.sample(apps, k=rng.randint(1, 6))
-            allowed_ids = {a.app_id for a in allowed_apps}
-            allowed_hosts = {f for a in allowed_apps for f in a.fqdns()}
-            routing = RoutingTable(allowed_hosts)
-            ledger = FlowLedger()
-            with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
-                for app in rng.sample(apps, k=10):
-                    script = [a.label for a in app.screens["home"].actions]
-                    config = ScanConfig(
-                        strategy="scripted", n_steps=len(script),
-                        policy=POLICY_ALWAYS, seed=trial,
-                    )
-                    execute_session(
-                        app, config, routing, engine.address, echo.address,
-                        material.client_store, material.config.now, script=script,
-                    )
-                violations += len(engine.observed_app_ids - allowed_ids)
+    leaked = missed = 0
+    for trial in range(10):
+        rng = random.Random(trial)
+        allowed_apps = rng.sample(apps, k=rng.randint(1, 6))
+        allowed_ids = {a.app_id for a in allowed_apps}
+        hosts = sorted({f for a in allowed_apps for f in a.fqdns()})
+        allowlist = [h.upper() if i % 2 else h for i, h in enumerate(hosts)]
+        scanned = rng.sample(apps, k=10)
+        out = tmp_path / str(trial)
+        config = ScanConfig(strategy="scripted", policy=POLICY_ALWAYS, seed=trial)
+        cli.run_scan(config, scanned, allowlist, out, material, grace=0.3, freeze_time=True)
+        want = {(a.app_id, f) for a in scanned if a.app_id in allowed_ids for f in a.fqdns()}
+        for test in TESTS:
+            records = FlowLedger(out / f"ledger_{test}.jsonl").records()
+            leaked += sum(1 for r in records if r.app_id not in allowed_ids)
+            missed += len(want - {(r.app_id, r.fqdn) for r in records})
     _report(
         capsys,
         "routing isolation over 10 randomized fleets",
-        violations == 0,
-        f"{violations} non-allowlisted app ids at listener",
+        leaked == 0 and missed == 0,
+        f"{leaked} ledger records of non-allowlisted apps, {missed} allowlisted hosts unreached",
     )
 
 

@@ -9,9 +9,7 @@ import pytest
 from mitmscan.appsim import (
     MAX_REPLY_BYTES,
     Action,
-    EchoServer,
     FlowSpec,
-    RoutingTable,
     ScanConfig,
     Screen,
     SyntheticApp,
@@ -20,7 +18,6 @@ from mitmscan.appsim import (
     next_action,
     parse_action_reply,
     _read_line,
-    perform_direct_flow,
     perform_flow,
 )
 from mitmscan.engine import Listener, MitmEngine
@@ -71,12 +68,6 @@ def test_app_graph_validation():
             start_screen="home",
         )
     assert two_screen_app().fqdns() == ["a.example.com", "b.example.com"]
-
-
-def test_routing_table():
-    routing = RoutingTable({"A.Example.com"})
-    assert routing.route("a.example.com") == "MITM"
-    assert routing.route("b.example.com") == "DIRECT"
 
 
 def test_next_action_random_is_seeded():
@@ -135,32 +126,24 @@ def test_llm_strategy_parsing_and_fallback():
     assert parse_action_reply("no action line", list(screen.actions)) is None
 
 
-def test_direct_flow_uses_echo_server():
-    with EchoServer() as echo:
-        result = perform_direct_flow(FlowSpec("x.example.com"), echo.address)
-    assert result.route == "DIRECT"
-    assert result.error is None
-
-
 def test_execute_session_routes_and_counts(material):
     app = two_screen_app()
-    routing = RoutingTable({"a.example.com"})
     config = ScanConfig(strategy="scripted", n_steps=3, policy=POLICY_ALWAYS)
     ledger = FlowLedger()
     with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
-        with EchoServer() as echo:
-            session = execute_session(
-                app,
-                config,
-                routing,
-                engine.address,
-                echo.address,
-                material.client_store,
-                material.config.now,
-                script=["refresh", "settings", "sync"],
-            )
-    routes = [f.route for f in session.flows]
-    assert routes == ["MITM", "DIRECT"]
+        session = execute_session(
+            app,
+            config,
+            {"a.example.com"},
+            engine.address,
+            material.client_store,
+            material.config.now,
+            script=["refresh", "settings", "sync"],
+        )
+    assert [(f.route, f.accepted, f.error) for f in session.flows] == [
+        ("MITM", False, None),
+        ("DIRECT", None, None),  # counted, not intercepted
+    ]
     assert session.steps_taken == 3
     assert not session.partial
     # only the MITM-routed flow reached the ledger
@@ -173,9 +156,8 @@ def test_time_budget_marks_partial(material):
     session = execute_session(
         app,
         config,
-        RoutingTable(set()),
+        set(),
         ("127.0.0.1", 1),
-        None,
         material.client_store,
         material.config.now,
     )

@@ -59,6 +59,7 @@ def test_empty_root_name_rejected():
         ("-bad.example.com", False),
         ("Example.com", False),
         ("example.com.", False),
+        ("café.example.com", False),  # a U-label; certificates carry A-labels
         ("*", False),
         ("", False),
     ],

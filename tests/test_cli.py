@@ -67,6 +67,11 @@ def test_invalid_config_exits_2(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{oops")
     assert main(["scan", "--config", str(notjson)]) == EXIT_USAGE
+    # a bad --fleet is refused before --out is made
+    for fleet in (tmp_path / "missing_fleet.json", notjson):
+        out = tmp_path / f"out_{fleet.stem}"
+        assert main(["scan", "--fleet", str(fleet), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 
 
 def test_empty_allowlist_yields_zero_flows(tmp_path):

@@ -361,13 +361,32 @@ def test_listener_keeps_no_connection_after_its_handler_ends():
         listener.stop()
 
 
-def test_oversized_preamble_is_dropped_and_logged(material, caplog):
+def _preamble(**fields) -> bytes:
+    return json.dumps({"app_id": "com.test.app", "fqdn": "svc.example.com", **fields}).encode() + b"\n"
+
+
+@pytest.mark.parametrize(
+    "preamble, problem",
+    [
+        (b"x" * (MAX_PREAMBLE_BYTES + 1), "unterminated or over"),
+        (b"not json\n", "not a JSON object"),
+        (b"[1]\n", "not a JSON object"),
+        (_preamble(fqdn=5), "without a string app_id and fqdn"),
+        (_preamble(channel="bogus"), "with unknown channel 'bogus'"),
+        (_preamble(fqdn="a..example.com"), "which no certificate can name"),
+        (_preamble(fqdn="café.example.com"), "which no certificate can name"),
+    ],
+    ids=["oversized", "not-json", "not-an-object", "fqdn-not-a-string", "unknown-channel",
+         "empty-label", "non-ascii-host"],
+)
+def test_oversized_preamble_is_dropped_and_logged(material, caplog, preamble, problem):
+    """A bad preamble gets no reply and no record, one warning and no traceback."""
     ledger = FlowLedger()
     app = _one_screen_app("com.test.app", "svc.example.com", ClientProfile())
     with caplog.at_level(logging.WARNING, logger="mitmscan.engine"):
         with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
             with socket.create_connection(engine.address, timeout=5) as sock:
-                sock.sendall(b"x" * (MAX_PREAMBLE_BYTES + 1))
+                sock.sendall(preamble)
                 try:
                     assert sock.recv(1) == b""
                 except ConnectionResetError:
@@ -382,4 +401,26 @@ def test_oversized_preamble_is_dropped_and_logged(material, caplog):
             )
     assert result.accepted is False
     assert [r.outcome for r in ledger.records()] == ["secure"]
-    assert "preamble unterminated or over" in caplog.text
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("dropping connection: preamble ")
+    assert problem in warnings[0]
+    assert not any(r.exc_info for r in caplog.records)
+
+
+@pytest.mark.parametrize("test", ["T1", "T3"])
+def test_mixed_case_host_is_forged_for_the_name_the_ledger_records(material, test):
+    app = _one_screen_app(
+        "com.test.app", "API.Example.com", ClientProfile(trust_behavior="T1", hostname_behavior="H1")
+    )
+    ledger = FlowLedger()
+    with MitmEngine(material, test, POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
+        result = perform_flow(
+            app,
+            FlowSpec("API.Example.com", "native"),
+            engine.address,
+            material.client_store,
+            material.config.now,
+        )
+    assert result.error is None
+    assert [(r.fqdn, r.outcome) for r in ledger.records()] == [("api.example.com", "vulnerable")]

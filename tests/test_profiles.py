@@ -1,8 +1,12 @@
 import datetime
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from mitmscan.certforge import CertConfig, TrustStore, fingerprint, issue_leaf, make_root
+from mitmscan.engine import forge_for
+from mitmscan.flowledger import CHANNELS, TESTS
 from mitmscan.profiles import (
     ERROR_MISMATCH,
     ERROR_UNTRUSTED,
@@ -129,3 +133,41 @@ def test_secure_profile_verdicts():
     for channel in ("native", "webview"):
         assert not client_accepts(secure, chain, "a.example.com", channel, STORE, NOW)
         assert client_accepts(secure, chain, "b.example.com", channel, STORE, NOW)
+
+
+def _load_expect():
+    """perfbench/expect.py, the benchmark's oracle written apart from this package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expect.py"
+    spec = importlib.util.spec_from_file_location("perfbench_expect", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("pin_root", [False, True], ids=["pin-names-no-chain", "pin-lab-root"])
+def test_client_accepts_agrees_with_the_independent_table(material, pin_root):
+    """client_accepts and perfbench's expectation table decide alike on every
+    profile of the benchmark's space, under each test and channel."""
+    expect = _load_expect()
+    fqdn = "svc.example.com"
+    roots = (material.untrusted_root, material.lab_trusted_root, material.installed_root)
+    fingerprints = {root.name: root.fingerprint for root in roots}
+    pin = material.lab_trusted_root.fingerprint if pin_root else "0" * 64
+    chains = {}
+    for test in TESTS:
+        leaf = forge_for(test, fqdn, material)
+        chains[test] = [leaf.cert, leaf.issuer.self_signed_cert]
+    disagreements = []
+    space = expect.profile_space([fqdn], pin)
+    for data in space:
+        profile = ClientProfile.from_dict(data)
+        for test, chain in chains.items():
+            for channel in CHANNELS:
+                want = expect.accepts(data, test, fqdn, channel, fingerprints)
+                got = client_accepts(
+                    profile, chain, fqdn, channel, material.client_store, material.config.now
+                )
+                if got != want:
+                    disagreements.append((data, test, channel, got))
+    assert len(space) == 1458
+    assert disagreements == []
