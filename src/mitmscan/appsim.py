@@ -253,6 +253,12 @@ def perform_flow(
         if accepted:
             tls.sendall(b"ping")
             tls.recv(64)
+        else:
+            # The engine records the flow before it closes, so reading to its
+            # EOF (past any alert it sends) orders this flow before the next.
+            tls.shutdown(socket.SHUT_WR)
+            while tls.recv(4096):
+                pass
         tls.close()
         return FlowResult(spec.fqdn, spec.channel, "MITM", accepted)
     except (OSError, ssl.SSLError, ValueError) as exc:

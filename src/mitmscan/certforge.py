@@ -59,17 +59,13 @@ class LeafCertificate:
     key_pair: Ed25519PrivateKey = field(repr=False, compare=False)
     issuer: RootAuthority = field(compare=False)
 
-    @property
-    def fingerprint(self) -> str:
-        return fingerprint(self.cert)
-
     def chain_pem(self) -> bytes:
         """Leaf followed by its issuing root, as concatenated PEM."""
         return cert_pem(self.cert) + cert_pem(self.issuer.self_signed_cert)
 
 
 class TrustStore:
-    """A set of root authorities, membership testable by fingerprint."""
+    """A set of root authorities, one per fingerprint."""
 
     def __init__(self, roots: list[RootAuthority] | None = None):
         self._roots: dict[str, RootAuthority] = {}
@@ -79,14 +75,8 @@ class TrustStore:
     def add(self, root: RootAuthority) -> None:
         self._roots[root.fingerprint] = root
 
-    def __contains__(self, root: RootAuthority) -> bool:
-        return root.fingerprint in self._roots
-
     def __iter__(self):
         return iter(self._roots.values())
-
-    def __len__(self) -> int:
-        return len(self._roots)
 
     def find_issuer(self, cert: x509.Certificate) -> RootAuthority | None:
         for root in self._roots.values():

@@ -10,6 +10,11 @@ same socket, and clients decide on the chain that handshake served. Clients
 read the reply and use none of it: it stays only because the benchmark's
 OpenSSL check, ``perfbench/checks.ssl_verdicts``, waits for a line before
 its handshake, and it goes when that check stops.
+
+The engine records a flow before it echoes the client's data or closes the
+connection, so a finished flow is in the ledger by the time its client sees
+the flow end, and a client's next flow decides on it. No lock is held across
+a handshake or a wait: one idle or broken client holds up no other.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .certforge import (
     key_pem,
     make_root,
 )
-from .flowledger import CHANNELS, TESTS, DedupKey, FlowLedger, FlowRecord, normalize_fqdn
+from .flowledger import CHANNELS, TESTS, FlowLedger, normalize_fqdn
 
 log = logging.getLogger(__name__)
 
@@ -144,6 +149,8 @@ def _read_preamble(sock: socket.socket) -> tuple[str, str, str] | None:
             problem = f"with unknown channel {meta['channel']!r}"
         elif not is_valid_san(fqdn := normalize_fqdn(meta["fqdn"])):
             problem = f"with host {meta['fqdn']!r}, which no certificate can name"
+        elif fqdn.startswith("*."):
+            problem = f"with wildcard host {meta['fqdn']!r}"
         else:
             return meta["app_id"], fqdn, meta.get("channel", "native")
     log.warning("dropping connection: preamble %s", problem)
@@ -225,9 +232,11 @@ class Listener:
 class MitmEngine:
     """One engine instance runs one MitM test kind against incoming flows.
 
-    ``stop()`` returns as soon as no connection is in flight. It waits for
-    every handler still running, so each flow a client finished before
-    ``stop()`` is in the ledger when it returns. Each wait is bounded by the
+    A flow is in the ledger when its client sees it end: the echo of its
+    request, or the engine closing the connection. ``stop()`` returns as
+    soon as no connection is in flight. It waits for every handler still
+    running, so the flows of clients that left without waiting for the end
+    are in the ledger when it returns too. Each wait is bounded by the
     connection timeout, ``max(4 x grace, 5 s)``, which every socket
     operation of a handler gets.
     """
@@ -285,30 +294,31 @@ class MitmEngine:
         if preamble is None:
             return
         app_id, fqdn, channel = preamble
+        decision = self.ledger.decide_retest(app_id, fqdn, self.policy, self.test)
+        forged = decision == "test"
+        leaf = (
+            forge_for(self.test, fqdn, self.material)
+            if forged
+            else legit_for(fqdn, self.material)
+        )
+        ctx = self.material.serve(leaf)
+        sock.sendall(json.dumps({"action": decision}).encode() + b"\n")
 
-        # Decide-then-record is one critical section per flow.
-        with self.ledger.lock:
-            decision = self.ledger.decide_retest(
-                DedupKey(app_id, fqdn), self.policy, self.test
+        def record(outcome: str, tls_version: str = "unknown") -> None:
+            self.ledger.record_flow(
+                app_id=app_id,
+                fqdn=fqdn,
+                ts_wall=wall_clock(self.freeze_time),
+                tls_version=tls_version,
+                channel=channel,
+                test_applied=self.test,
+                outcome=outcome if forged else "skipped",
             )
-            forged = decision == "test"
-            leaf = (
-                forge_for(self.test, fqdn, self.material)
-                if forged
-                else legit_for(fqdn, self.material)
-            )
-            ctx = self.material.serve(leaf)
-            sock.sendall(json.dumps({"action": decision}).encode() + b"\n")
-            result = self._run_tls(sock, ctx)
-            outcome = "skipped" if not forged else result.outcome
-            self._record(app_id, fqdn, channel, outcome, result)
 
-    @dataclass
-    class _TlsResult:
-        outcome: str
-        tls_version: str = "unknown"
+        self._run_tls(sock, ctx, record)
 
-    def _run_tls(self, sock: socket.socket, ctx: ssl.SSLContext) -> "_TlsResult":
+    def _run_tls(self, sock: socket.socket, ctx: ssl.SSLContext, record) -> None:
+        """Serve ``ctx`` and ``record`` the outcome before the client can see the flow end."""
         # A client gone before its ClientHello never saw a certificate. Wrapping
         # its socket anyway can leak it: when the peer has reset, the
         # not-connected probe in SSLSocket._create raises without closing the
@@ -317,19 +327,19 @@ class MitmEngine:
             hello = sock.recv(1, socket.MSG_PEEK)
         except OSError as exc:
             log.debug("transport failure before the ClientHello: %s", exc)
-            return self._TlsResult("inconclusive")
+            hello = b""
         if not hello:
-            return self._TlsResult("inconclusive")
+            return record("inconclusive")
         try:
             tls = ctx.wrap_socket(sock, server_side=True)
         except ssl.SSLError as exc:
             # The certificate flight was already sent; an alert here is the
             # client rejecting it.
             log.debug("post-certificate alert from client: %s", exc)
-            return self._TlsResult("secure")
-        except (ConnectionError, socket.timeout, OSError) as exc:
+            return record("secure")
+        except OSError as exc:
             log.debug("pre-certificate transport failure: %s", exc)
-            return self._TlsResult("inconclusive")
+            return record("inconclusive")
 
         with tls:
             version = {"TLSv1.2": "TLS1.2", "TLSv1.3": "TLS1.3"}.get(
@@ -340,33 +350,14 @@ class MitmEngine:
                 data = tls.recv(4096)
             except socket.timeout:
                 # Connection idles open with no application data: no evidence.
-                return self._TlsResult("inconclusive", version)
-            except (ssl.SSLError, ConnectionError, OSError):
+                return record("inconclusive", version)
+            except OSError:
                 data = b""
+            # Data means the client accepted the chain. A clean close right
+            # after the handshake means it aborted on the certificate it saw.
+            record("vulnerable" if data else "secure", version)
             if data:
                 try:
                     tls.sendall(data)  # echo, so clients can run request/response
-                except (ssl.SSLError, ConnectionError, OSError):
+                except OSError:
                     pass
-                return self._TlsResult("vulnerable", version)
-            # Clean close right after the handshake: the client aborted on the
-            # certificate it saw.
-            return self._TlsResult("secure", version)
-
-    def _record(
-        self, app_id: str, fqdn: str, channel: str, outcome: str, tls: "_TlsResult"
-    ) -> None:
-        self.ledger.record_flow(
-            FlowRecord(
-                app_id=app_id,
-                fqdn=fqdn,
-                ts_wall=wall_clock(self.freeze_time),
-                ts_mono=self.ledger.next_ts_mono(),
-                transport="TCP",
-                tls_version=tls.tls_version,
-                channel=channel,
-                test_applied=self.test,
-                outcome=outcome,
-            )
-        )
-

@@ -39,15 +39,6 @@ def normalize_fqdn(fqdn: str) -> str:
     return fqdn.strip().lower().rstrip(".")
 
 
-@dataclass(frozen=True)
-class DedupKey:
-    app_id: str
-    fqdn: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "fqdn", normalize_fqdn(self.fqdn))
-
-
 @dataclass
 class FlowRecord:
     app_id: str
@@ -86,15 +77,17 @@ class FlowRecord:
 
 
 class FlowLedger:
-    """Append-only flow store; record/decide are one critical section.
+    """Append-only flow store that numbers its own records.
 
+    Every method holds the ledger's private lock only while it reads or
+    writes the store, so callers share no lock and hold none across I/O.
     When a path is given, records are appended to a JSONL file as they arrive
     and the in-memory index is rebuilt on load. A last line cut mid-write is
     dropped on load, with a warning, and cut from the file.
     """
 
     def __init__(self, path: str | Path | None = None):
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._records: list[FlowRecord] = []
         self._identities: set[tuple[str, str, int]] = set()
         # (app_id, fqdn, test) -> list of outcomes in arrival order.
@@ -127,10 +120,6 @@ class FlowLedger:
                     fh.write(b"\n")
         return data.decode().splitlines()
 
-    @property
-    def lock(self) -> threading.RLock:
-        return self._lock
-
     def _index(self, flow: FlowRecord) -> None:
         if flow.identity in self._identities:
             raise DuplicateFlowError(f"duplicate flow identity {flow.identity}")
@@ -140,26 +129,23 @@ class FlowLedger:
             history_key = (flow.app_id, flow.fqdn, flow.test_applied)
             self._history.setdefault(history_key, []).append(flow.outcome)
 
-    def record_flow(self, flow: FlowRecord) -> int:
+    def record_flow(self, **fields) -> None:
+        """Append the flow of ``fields``; its ``ts_mono`` is the count of records before it."""
         with self._lock:
+            flow = FlowRecord(ts_mono=len(self._records), **fields)
             self._index(flow)
             if self._path:
                 with self._path.open("a") as fh:
                     fh.write(flow.to_json() + "\n")
-            return len(self._records)
 
-    def next_ts_mono(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def decide_retest(self, key: DedupKey, policy: str, test: str) -> str:
-        """Returns "test" or "skip", purely from the ledger history for (key, test)."""
+    def decide_retest(self, app_id: str, fqdn: str, policy: str, test: str) -> str:
+        """Returns "test" or "skip", purely from the ledger history for (app, host, test)."""
         if policy not in POLICIES:
             raise ValueError(f"unknown policy: {policy}")
         if test not in TESTS:
             raise ValueError(f"unknown test: {test}")
         with self._lock:
-            history = self._history.get((key.app_id, key.fqdn, test), [])
+            history = self._history.get((app_id, normalize_fqdn(fqdn), test), [])
             if policy == POLICY_ALWAYS:
                 return "test"
             tested = [o for o in history if o != "skipped"]

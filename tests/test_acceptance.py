@@ -19,7 +19,6 @@ from mitmscan.flowledger import (
     POLICY_ONCE,
     POLICY_UNTIL_VULNERABLE,
     TESTS,
-    DedupKey,
     FlowLedger,
     FlowRecord,
 )
@@ -75,25 +74,25 @@ def test_retest_policy_ledgers(capsys):
     def simulate(policy, seed):
         rng = random.Random(seed)
         ledger = FlowLedger()
-        for i in range(200):
-            key = DedupKey(f"app.{rng.randint(0, 4)}", f"h{rng.randint(0, 4)}.example.com")
+        for _ in range(200):
+            app, host = f"app.{rng.randint(0, 4)}", f"h{rng.randint(0, 4)}.example.com"
             test = rng.choice(("T1", "T2", "T3"))
-            decision = ledger.decide_retest(key, policy, test)
+            decision = ledger.decide_retest(app, host, policy, test)
             outcome = (
                 "skipped" if decision == "skip"
                 else ("vulnerable" if rng.random() < 0.3 else "secure")
             )
-            ledger.record_flow(FlowRecord(
-                app_id=key.app_id, fqdn=key.fqdn, ts_wall="2025-04-01T00:00:00+00:00",
-                ts_mono=i, test_applied=test, outcome=outcome,
-            ))
+            ledger.record_flow(
+                app_id=app, fqdn=host, ts_wall="2025-04-01T00:00:00+00:00",
+                test_applied=test, outcome=outcome,
+            )
         return ledger
 
     def sequences(ledger):
         seqs = {}
         for rec in ledger.records():
             letter = {"vulnerable": "v", "secure": "s", "skipped": "k"}[rec.outcome]
-            seqs.setdefault((DedupKey(rec.app_id, rec.fqdn), rec.test_applied), []).append(letter)
+            seqs.setdefault((rec.app_id, rec.fqdn, rec.test_applied), []).append(letter)
         return ["".join(v) for v in seqs.values()]
 
     p1_ok = all("k" not in s for s in sequences(simulate(POLICY_ALWAYS, 101)))
@@ -238,17 +237,17 @@ def test_metrics_oracle_equivalence(capsys):
         # prevalence vs recount
         ledger = FlowLedger()
         rows = []
-        for i in range(rng.randint(1, 12)):
+        for _ in range(rng.randint(1, 12)):
             row = (
                 f"app{rng.randint(0, 2)}",
                 f"h{rng.randint(0, 2)}.com",
                 rng.choice(("vulnerable", "secure", "inconclusive", "skipped")),
             )
             rows.append(row)
-            ledger.record_flow(FlowRecord(
+            ledger.record_flow(
                 app_id=row[0], fqdn=row[1], ts_wall="2025-04-01T00:00:00+00:00",
-                ts_mono=i, test_applied="T1", outcome=row[2],
-            ))
+                test_applied="T1", outcome=row[2],
+            )
         stats = metrics.prevalence(ledger)
         live = [r for r in rows if r[2] != "skipped"]
         if live:

@@ -5,6 +5,7 @@ import socket
 import ssl
 import statistics
 import struct
+import sys
 import threading
 import time
 import weakref
@@ -24,7 +25,15 @@ from mitmscan.engine import (
     legit_for,
 )
 from mitmscan.fleet import expected_truth_table
-from mitmscan.flowledger import POLICY_ALWAYS, POLICY_ONCE, TESTS, FlowLedger, FlowRecord
+from mitmscan.flowledger import (
+    CHANNELS,
+    POLICIES,
+    POLICY_ALWAYS,
+    POLICY_ONCE,
+    POLICY_UNTIL_VULNERABLE,
+    TESTS,
+    FlowLedger,
+)
 from mitmscan.profiles import ClientProfile
 
 
@@ -137,24 +146,13 @@ def test_engine_inconclusive_on_early_abort(material):
     assert [r.outcome for r in ledger.records()] == ["inconclusive"]
 
 
-@pytest.mark.filterwarnings("error::ResourceWarning")
-@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 @pytest.mark.parametrize("reset", [True, False], ids=["reset", "close"])
 def test_client_gone_after_reply_is_inconclusive_and_leaves_no_socket(material, reset):
     """A client that leaves right after the preamble reply never saw a certificate."""
-    preamble = json.dumps(
-        {"app_id": "com.test.app", "fqdn": "svc.example.com", "channel": "native"}
-    ).encode() + b"\n"
     ledger = FlowLedger()
     with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
         for _ in range(20):
-            sock = socket.create_connection(engine.address, timeout=5)
-            sock.sendall(preamble)
-            reply = b""
-            while not reply.endswith(b"\n"):
-                chunk = sock.recv(4096)
-                assert chunk
-                reply += chunk
+            sock = _after_reply(engine.address, "com.test.app")
             if reset:  # close() then sends a reset instead of a FIN
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
             sock.close()
@@ -227,7 +225,7 @@ def test_engines_share_the_context_of_a_leaf(monkeypatch):
         ledger = FlowLedger()
         # Tested once before, so the once-per-host policy skips the host.
         ledger.record_flow(
-            FlowRecord("com.test.app", "svc.example.com", "", 0, test_applied=test, outcome="secure")
+            app_id="com.test.app", fqdn="svc.example.com", ts_wall="", test_applied=test, outcome="secure"
         )
         with MitmEngine(material, test, POLICY_ONCE, ledger, grace_seconds=0.3) as engine:
             result = perform_flow(
@@ -365,6 +363,18 @@ def _preamble(**fields) -> bytes:
     return json.dumps({"app_id": "com.test.app", "fqdn": "svc.example.com", **fields}).encode() + b"\n"
 
 
+def _after_reply(address, app_id) -> socket.socket:
+    """A connection whose preamble for ``app_id`` the engine has answered."""
+    sock = socket.create_connection(address, timeout=5)
+    sock.sendall(_preamble(app_id=app_id))
+    reply = b""
+    while not reply.endswith(b"\n"):
+        chunk = sock.recv(4096)
+        assert chunk
+        reply += chunk
+    return sock
+
+
 @pytest.mark.parametrize(
     "preamble, problem",
     [
@@ -375,11 +385,12 @@ def _preamble(**fields) -> bytes:
         (_preamble(channel="bogus"), "with unknown channel 'bogus'"),
         (_preamble(fqdn="a..example.com"), "which no certificate can name"),
         (_preamble(fqdn="café.example.com"), "which no certificate can name"),
+        (_preamble(fqdn="*.example.com"), "with wildcard host '*.example.com'"),
     ],
     ids=["oversized", "not-json", "not-an-object", "fqdn-not-a-string", "unknown-channel",
-         "empty-label", "non-ascii-host"],
+         "empty-label", "non-ascii-host", "wildcard-host"],
 )
-def test_oversized_preamble_is_dropped_and_logged(material, caplog, preamble, problem):
+def test_malformed_preamble_is_dropped_and_logged(material, caplog, preamble, problem):
     """A bad preamble gets no reply and no record, one warning and no traceback."""
     ledger = FlowLedger()
     app = _one_screen_app("com.test.app", "svc.example.com", ClientProfile())
@@ -424,3 +435,117 @@ def test_mixed_case_host_is_forged_for_the_name_the_ledger_records(material, tes
         )
     assert result.error is None
     assert [(r.fqdn, r.outcome) for r in ledger.records()] == [("api.example.com", "vulnerable")]
+
+
+def test_hostile_clients_hold_up_no_honest_flow(material):
+    """Clients that idle, send garbage or reset delay no flow that starts after them."""
+    profile = ClientProfile(trust_behavior="T1", hostname_behavior="H1")
+    honest = _one_screen_app("com.test.honest", "svc.example.com", profile)
+    ledger = FlowLedger()
+    with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=1.0) as engine:
+        with _after_reply(engine.address, "com.test.reset") as reset:
+            reset.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        idle_before_preamble = socket.create_connection(engine.address, timeout=5)
+        malformed = socket.create_connection(engine.address, timeout=5)
+        malformed.sendall(b"not json\n")
+        idle_after_handshake = appsim._client_context().wrap_socket(
+            _after_reply(engine.address, "com.test.idle"), server_hostname="svc.example.com"
+        )
+        try:
+            time.sleep(0.25)
+            started = time.perf_counter()
+            result = perform_flow(
+                honest,
+                FlowSpec("svc.example.com", "native"),
+                engine.address,
+                material.client_store,
+                material.config.now,
+            )
+            elapsed = time.perf_counter() - started
+        finally:
+            for sock in (idle_after_handshake, idle_before_preamble, malformed):
+                sock.close()
+    assert result.accepted is True
+    assert elapsed < 0.1
+    records = ledger.records()
+    assert [r.outcome for r in records if r.app_id == honest.app_id] == ["vulnerable"]
+    app_ids = [r.app_id for r in records]
+    assert len(app_ids) == len(set(app_ids))
+    assert set(app_ids) <= {honest.app_id, "com.test.idle", "com.test.reset"}
+
+
+@pytest.mark.parametrize(
+    "policy, profile, first",
+    [
+        (POLICY_ONCE, ClientProfile(), "secure"),
+        (
+            POLICY_UNTIL_VULNERABLE,
+            ClientProfile(trust_behavior="T1", hostname_behavior="H1", webview_behavior="W1"),
+            "vulnerable",
+        ),
+    ],
+    ids=["reject-once", "accept-until-vulnerable"],
+)
+def test_next_flow_decides_on_the_flow_before(material, policy, profile, first):
+    """A sequential client's second flow to a host is skipped on its first's outcome."""
+    ledger = FlowLedger()
+    apps = [_one_screen_app(f"com.test.app{i}", "svc.example.com", profile) for i in range(100)]
+    with MitmEngine(material, "T1", policy, ledger, grace_seconds=0.3) as engine:
+        for app in apps:
+            for channel in CHANNELS:
+                perform_flow(
+                    app,
+                    FlowSpec("svc.example.com", channel),
+                    engine.address,
+                    material.client_store,
+                    material.config.now,
+                )
+    assert [(r.app_id, r.channel, r.outcome) for r in ledger.records()] == [
+        (app.app_id, channel, outcome)
+        for app in apps
+        for channel, outcome in zip(CHANNELS, (first, "skipped"))
+    ]
+
+
+def test_concurrent_flows_land_once_each_in_file_order(material, tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    ledger = FlowLedger(path)
+    profiles = (ClientProfile(trust_behavior="T1", hostname_behavior="H1"), ClientProfile())
+    apps = [
+        _one_screen_app(f"com.test.app{i}", "svc.example.com", profiles[i % 2]) for i in range(8)
+    ]
+    ready = threading.Barrier(len(apps))
+    results = {}
+
+    def run(app):
+        ready.wait(timeout=10)
+        results[app.app_id] = perform_flow(
+            app,
+            FlowSpec("svc.example.com", "native"),
+            engine.address,
+            material.client_store,
+            material.config.now,
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a lost update would show
+    try:
+        with MitmEngine(material, "T1", POLICY_UNTIL_VULNERABLE, ledger, grace_seconds=0.3) as engine:
+            threads = [threading.Thread(target=run, args=(app,)) for app in apps]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [results[app.app_id].accepted for app in apps] == [True, False] * 4
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [line["ts_mono"] for line in lines] == list(range(8))
+    assert sorted(line["app_id"] for line in lines) == sorted(app.app_id for app in apps)
+    reloaded = FlowLedger(path)
+    for app in apps:
+        for policy in POLICIES:
+            for test in TESTS:
+                key = (app.app_id, "svc.example.com", policy, test)
+                assert reloaded.decide_retest(*key) == ledger.decide_retest(*key)

@@ -15,7 +15,6 @@ from mitmscan.flowledger import (
     POLICY_ONCE,
     POLICY_UNTIL_VULNERABLE,
     TESTS,
-    DedupKey,
     DuplicateFlowError,
     FlowLedger,
     FlowRecord,
@@ -23,17 +22,19 @@ from mitmscan.flowledger import (
 )
 
 
-def make_flow(app="app.one", fqdn="a.example.com", ts_mono=0, **kw):
-    defaults = dict(
+def fields(app="app.one", fqdn="a.example.com", **kw):
+    """A flow's fields, all but the ``ts_mono`` the ledger sets."""
+    return dict(
         app_id=app,
         fqdn=fqdn,
         ts_wall="2025-04-01T00:00:00+00:00",
-        ts_mono=ts_mono,
         test_applied="T1",
         outcome="secure",
-    )
-    defaults.update(kw)
-    return FlowRecord(**defaults)
+    ) | kw
+
+
+def make_flow(ts_mono=0, **kw):
+    return FlowRecord(ts_mono=ts_mono, **fields(**kw))
 
 
 def test_normalize_fqdn():
@@ -42,7 +43,10 @@ def test_normalize_fqdn():
 
 
 def test_dedup_key_normalizes():
-    assert DedupKey("app", "A.Example.com.") == DedupKey("app", "a.example.com")
+    ledger = FlowLedger()
+    ledger.record_flow(**fields(fqdn="A.Example.com."))
+    assert ledger.records()[0].fqdn == "a.example.com"
+    assert ledger.decide_retest("app.one", "A.EXAMPLE.com.", POLICY_ONCE, "T1") == "skip"
 
 
 def test_flow_record_validation():
@@ -63,29 +67,30 @@ def test_json_round_trip():
     assert json.loads(flow.to_json())["fqdn"] == "a.example.com"
 
 
-def test_duplicate_identity_rejected():
-    ledger = FlowLedger()
-    ledger.record_flow(make_flow(ts_mono=0))
+def test_duplicate_identity_rejected(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    path.write_text(make_flow(ts_mono=0).to_json() + "\n" + make_flow(ts_mono=1).to_json() + "\n")
+    FlowLedger(path)  # same key, new timestamp is fine
+    path.write_text(make_flow(ts_mono=0).to_json() + "\n" + make_flow(ts_mono=0).to_json() + "\n")
     with pytest.raises(DuplicateFlowError):
-        ledger.record_flow(make_flow(ts_mono=0))
-    ledger.record_flow(make_flow(ts_mono=1))  # same key, new timestamp is fine
+        FlowLedger(path)
 
 
 def test_persistence_round_trip(tmp_path):
     path = tmp_path / "ledger.jsonl"
     ledger = FlowLedger(path)
-    ledger.record_flow(make_flow(ts_mono=0))
-    ledger.record_flow(make_flow(ts_mono=1, outcome="vulnerable"))
+    ledger.record_flow(**fields())
+    ledger.record_flow(**fields(outcome="vulnerable"))
     reloaded = FlowLedger(path)
     assert [r.outcome for r in reloaded.records()] == ["secure", "vulnerable"]
-    assert reloaded.next_ts_mono() == 2
+    assert [r.ts_mono for r in reloaded.records()] == [0, 1]
 
 
 def test_torn_last_line_is_dropped_and_cut(tmp_path, caplog):
     path = tmp_path / "ledger.jsonl"
     ledger = FlowLedger(path)
-    ledger.record_flow(make_flow(ts_mono=0))
-    ledger.record_flow(make_flow(ts_mono=1))
+    ledger.record_flow(**fields())
+    ledger.record_flow(**fields())
     whole = path.read_bytes()
     torn = make_flow(ts_mono=2).to_json()
     path.write_bytes(whole + torn[: len(torn) // 2].encode())
@@ -94,8 +99,8 @@ def test_torn_last_line_is_dropped_and_cut(tmp_path, caplog):
         reloaded = FlowLedger(path)
     assert "torn" in caplog.text
     assert path.read_bytes() == whole
-    assert reloaded.next_ts_mono() == 2
-    reloaded.record_flow(make_flow(ts_mono=2, outcome="vulnerable"))
+    assert len(reloaded.records()) == 2
+    reloaded.record_flow(**fields(outcome="vulnerable"))
     again = FlowLedger(path)
     assert [r.ts_mono for r in again.records()] == [0, 1, 2]
     assert again.records()[2].outcome == "vulnerable"
@@ -106,7 +111,7 @@ def test_unterminated_whole_last_line_is_kept(tmp_path):
     path.write_text(make_flow(ts_mono=0).to_json())
     ledger = FlowLedger(path)
     assert len(ledger.records()) == 1
-    ledger.record_flow(make_flow(ts_mono=1))
+    ledger.record_flow(**fields())
     assert [r.ts_mono for r in FlowLedger(path).records()] == [0, 1]
 
 
@@ -118,40 +123,40 @@ def test_policy_aliases():
 
 def test_decide_retest_p1_always_tests():
     ledger = FlowLedger()
-    key = DedupKey("app.one", "a.example.com")
+    key = ("app.one", "a.example.com")
     for i in range(3):
-        assert ledger.decide_retest(key, POLICY_ALWAYS, "T1") == "test"
-        ledger.record_flow(make_flow(ts_mono=i, outcome="vulnerable"))
+        assert ledger.decide_retest(*key, POLICY_ALWAYS, "T1") == "test"
+        ledger.record_flow(**fields(outcome="vulnerable"))
 
 
 def test_decide_retest_p2_once():
     ledger = FlowLedger()
-    key = DedupKey("app.one", "a.example.com")
-    assert ledger.decide_retest(key, POLICY_ONCE, "T1") == "test"
-    ledger.record_flow(make_flow(ts_mono=0, outcome="secure"))
-    assert ledger.decide_retest(key, POLICY_ONCE, "T1") == "skip"
+    key = ("app.one", "a.example.com")
+    assert ledger.decide_retest(*key, POLICY_ONCE, "T1") == "test"
+    ledger.record_flow(**fields(outcome="secure"))
+    assert ledger.decide_retest(*key, POLICY_ONCE, "T1") == "skip"
     # other tests and keys are independent
-    assert ledger.decide_retest(key, POLICY_ONCE, "T2") == "test"
-    assert ledger.decide_retest(DedupKey("app.one", "b.example.com"), POLICY_ONCE, "T1") == "test"
+    assert ledger.decide_retest(*key, POLICY_ONCE, "T2") == "test"
+    assert ledger.decide_retest("app.one", "b.example.com", POLICY_ONCE, "T1") == "test"
 
 
 def test_decide_retest_p3_until_vulnerable():
     ledger = FlowLedger()
-    key = DedupKey("app.one", "a.example.com")
-    assert ledger.decide_retest(key, POLICY_UNTIL_VULNERABLE, "T1") == "test"
-    ledger.record_flow(make_flow(ts_mono=0, outcome="secure"))
-    assert ledger.decide_retest(key, POLICY_UNTIL_VULNERABLE, "T1") == "test"
-    ledger.record_flow(make_flow(ts_mono=1, outcome="vulnerable"))
-    assert ledger.decide_retest(key, POLICY_UNTIL_VULNERABLE, "T1") == "skip"
+    key = ("app.one", "a.example.com")
+    assert ledger.decide_retest(*key, POLICY_UNTIL_VULNERABLE, "T1") == "test"
+    ledger.record_flow(**fields(outcome="secure"))
+    assert ledger.decide_retest(*key, POLICY_UNTIL_VULNERABLE, "T1") == "test"
+    ledger.record_flow(**fields(outcome="vulnerable"))
+    assert ledger.decide_retest(*key, POLICY_UNTIL_VULNERABLE, "T1") == "skip"
 
 
 def test_decide_retest_rejects_unknowns():
     ledger = FlowLedger()
-    key = DedupKey("app.one", "a.example.com")
+    key = ("app.one", "a.example.com")
     with pytest.raises(ValueError):
-        ledger.decide_retest(key, "bogus", "T1")
+        ledger.decide_retest(*key, "bogus", "T1")
     with pytest.raises(ValueError):
-        ledger.decide_retest(key, POLICY_ALWAYS, "T9")
+        ledger.decide_retest(*key, POLICY_ALWAYS, "T9")
 
 
 APPS = ("app.a", "app.b")
@@ -176,24 +181,21 @@ def test_reloaded_ledger_decides_as_the_live_one(steps):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ledger.jsonl"
         live = FlowLedger(path)
-        for i, (app, host, test, policy, outcome) in enumerate(steps):
-            if live.decide_retest(DedupKey(app, host), policy, test) == "skip":
+        for app, host, test, policy, outcome in steps:
+            if live.decide_retest(app, host, policy, test) == "skip":
                 outcome = "skipped"
-            live.record_flow(
-                make_flow(app=app, fqdn=host, ts_mono=i, test_applied=test, outcome=outcome)
-            )
+            live.record_flow(**fields(app=app, fqdn=host, test_applied=test, outcome=outcome))
         reloaded = FlowLedger(path)
-    for app, host, test, policy in itertools.product(APPS, HOSTS, TESTS, POLICIES):
-        key = DedupKey(app, host)
-        assert reloaded.decide_retest(key, policy, test) == live.decide_retest(key, policy, test)
+    for key in itertools.product(APPS, HOSTS, POLICIES, TESTS):
+        assert reloaded.decide_retest(*key) == live.decide_retest(*key)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from("xy")), max_size=30))
 def test_unique_entities_matches_brute_force(pairs):
     ledger = FlowLedger()
-    for i, (app, host) in enumerate(pairs):
-        ledger.record_flow(make_flow(app=f"app.{app}", fqdn=f"{host}.example.com", ts_mono=i))
+    for app, host in pairs:
+        ledger.record_flow(**fields(app=f"app.{app}", fqdn=f"{host}.example.com"))
     ent = ledger.unique_entities()
     assert ent["flows"] == len(pairs)
     assert ent["apps"] == len({a for a, _ in pairs})
@@ -205,17 +207,15 @@ def _simulate(policy, n_flows, seed):
     """Drive decide/record with random keys; vulnerable pops up randomly."""
     rng = random.Random(seed)
     ledger = FlowLedger()
-    for i in range(n_flows):
-        key = DedupKey(f"app.{rng.randint(0, 3)}", f"h{rng.randint(0, 3)}.example.com")
+    for _ in range(n_flows):
+        app, host = f"app.{rng.randint(0, 3)}", f"h{rng.randint(0, 3)}.example.com"
         test = rng.choice(("T1", "T2", "T3"))
-        decision = ledger.decide_retest(key, policy, test)
+        decision = ledger.decide_retest(app, host, policy, test)
         if decision == "skip":
             outcome = "skipped"
         else:
             outcome = "vulnerable" if rng.random() < 0.3 else "secure"
-        ledger.record_flow(
-            make_flow(app=key.app_id, fqdn=key.fqdn, ts_mono=i, test_applied=test, outcome=outcome)
-        )
+        ledger.record_flow(**fields(app=app, fqdn=host, test_applied=test, outcome=outcome))
     return ledger
 
 
@@ -223,7 +223,7 @@ def _outcome_strings(ledger):
     seqs = {}
     for rec in ledger.records():
         letter = {"vulnerable": "v", "secure": "s", "skipped": "k"}[rec.outcome]
-        seqs.setdefault((DedupKey(rec.app_id, rec.fqdn), rec.test_applied), []).append(letter)
+        seqs.setdefault((rec.app_id, rec.fqdn, rec.test_applied), []).append(letter)
     return {k: "".join(v) for k, v in seqs.items()}
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mitmscan.flowledger import FlowLedger, FlowRecord
+from mitmscan.flowledger import FlowLedger
 from mitmscan.metrics import (
     CoverageSets,
     DetectionSets,
@@ -14,9 +14,9 @@ from mitmscan.metrics import (
 )
 
 
-def flow(app, fqdn, ts, outcome):
-    return FlowRecord(
-        app_id=app, fqdn=fqdn, ts_wall="2025-04-01T00:00:00+00:00", ts_mono=ts,
+def flow(app, fqdn, outcome):
+    return dict(
+        app_id=app, fqdn=fqdn, ts_wall="2025-04-01T00:00:00+00:00",
         test_applied="T1", outcome=outcome,
     )
 
@@ -55,8 +55,8 @@ def test_prevalence_basic():
         ("app3", "c.com", "secure"),
         ("app4", "d.com", "skipped"),
     ]
-    for i, (app, fqdn, outcome) in enumerate(rows):
-        ledger.record_flow(flow(app, fqdn, i, outcome))
+    for app, fqdn, outcome in rows:
+        ledger.record_flow(**flow(app, fqdn, outcome))
     stats = prevalence(ledger)
     assert stats["fractions"]["apps"] == pytest.approx(1 / 3)
     assert stats["fractions"]["flows"] == pytest.approx(1 / 4)
@@ -68,9 +68,9 @@ def test_prevalence_basic():
 def test_prevalence_dedups_hosts():
     ledger = FlowLedger()
     # app hits same fqdn three times, vulnerable once
-    ledger.record_flow(flow("app", "a.com", 0, "vulnerable"))
-    ledger.record_flow(flow("app", "a.com", 1, "secure"))
-    ledger.record_flow(flow("app", "a.com", 2, "secure"))
+    ledger.record_flow(**flow("app", "a.com", "vulnerable"))
+    ledger.record_flow(**flow("app", "a.com", "secure"))
+    ledger.record_flow(**flow("app", "a.com", "secure"))
     assert prevalence(ledger)["per_app_ratio"]["values"] == [1.0]
 
 
@@ -87,8 +87,8 @@ def test_prevalence_dedups_hosts():
 )
 def test_prevalence_matches_recount(rows):
     ledger = FlowLedger()
-    for i, (app, fqdn, outcome) in enumerate(rows):
-        ledger.record_flow(flow(app, fqdn, i, outcome))
+    for app, fqdn, outcome in rows:
+        ledger.record_flow(**flow(app, fqdn, outcome))
     stats = prevalence(ledger)
 
     tested = [(a, f, o) for a, f, o in rows if o != "skipped"]
