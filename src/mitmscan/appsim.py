@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from cryptography import x509
 
 from .certforge import TrustStore
-from .flowledger import CHANNELS, POLICIES
+from .flowledger import CHANNELS, POLICIES, is_requestable
 from .profiles import ClientProfile, client_accepts
 
 log = logging.getLogger(__name__)
@@ -64,6 +64,8 @@ class FlowSpec:
     def __post_init__(self):
         if self.channel not in CHANNELS:
             raise ValueError(f"bad channel: {self.channel}")
+        if not is_requestable(self.fqdn):
+            raise ValueError(f"host {self.fqdn!r} is no name a flow can request")
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,8 @@ class SyntheticApp:
     def __post_init__(self):
         if self.start_screen not in self.screens:
             raise ValueError(f"start screen {self.start_screen!r} not defined")
+        if not self.screens[self.start_screen].actions:
+            raise ValueError(f"start screen {self.start_screen!r} has no action")
         for screen in self.screens.values():
             for action in screen.actions:
                 if action.goto is not None and action.goto not in self.screens:

@@ -199,8 +199,6 @@ def cmd_locate(args) -> int:
     records = FlowLedger(ledger_path).records()
     vulnerable = [r for r in records if r.outcome == "vulnerable"]
     attributions, unmatched = locator.correlate(events, vulnerable)
-    apps = sorted({r.app_id for r in records})
-    cov = locator.coverage(attributions, vulnerable, apps)
     report = {
         "attributions": [
             {
@@ -211,7 +209,7 @@ def cmd_locate(args) -> int:
             for a in sorted(attributions, key=lambda a: a.code_location)
         ],
         "unmatched_flows": sorted([list(f.identity) for f in unmatched]),
-        "coverage": cov.as_dict(),
+        "coverage": locator.coverage(attributions, vulnerable),
     }
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"located {len(attributions)} code locations, {len(unmatched)} unmatched flows")
@@ -294,30 +292,15 @@ def cmd_report(args) -> int:
         prevalence_by_test[test] = stats
         ratio_values.extend(stats["per_app_ratio"]["values"])
 
+    try:
+        annotations = party.load_annotations(args.annotations)
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(f"cannot load annotations {args.annotations}: {exc}") from exc
     events_path = scan_dir / "events.jsonl"
     party_report = None
     if events_path.exists():
         events = locator.load_events(events_path)
-        # code location -> (app of its first accepted event, FQDNs it accepted)
-        accepted: dict[str, tuple[str, set[str]]] = {}
-        for event in events:
-            if event.verdict != "accepted":
-                continue
-            _, fqdns = accepted.setdefault(event.code_location, (event.app_id, set()))
-            fqdn = event.hostname_param or event.cert_cn
-            if fqdn:
-                fqdns.add(fqdn)
-        refs = [
-            party.CodeSnippetRef(
-                snippet_id=location,
-                app_id=app_id,
-                code_location=location,
-                fqdns=frozenset(fqdns),
-            )
-            for location, (app_id, fqdns) in accepted.items()
-        ]
-        annotations = party.load_annotations(args.annotations)
-        party_report = party.attribute(refs, annotations).as_dict()
+        party_report = {"parties": party.attribute(events, annotations)}
 
     points = metrics.cdf(ratio_values)
     metrics.write_cdf_csv(points, out / "cdf_per_app_ratio.csv")

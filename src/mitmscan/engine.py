@@ -29,21 +29,21 @@ import threading
 from dataclasses import dataclass, field
 
 from .certforge import (
+    DEFAULT_NOW,
     CertConfig,
     LeafCertificate,
     RootAuthority,
     TrustStore,
-    is_valid_san,
     issue_leaf,
     key_pem,
     make_root,
 )
-from .flowledger import CHANNELS, TESTS, FlowLedger, normalize_fqdn
+from .flowledger import CHANNELS, TESTS, FlowLedger, is_requestable, normalize_fqdn
 
 log = logging.getLogger(__name__)
 
 ATTACKER_NAME = "attacker.invalid"
-FROZEN_WALL_TS = "2025-04-01T00:00:00+00:00"
+FROZEN_WALL_TS = DEFAULT_NOW.isoformat()
 MAX_PREAMBLE_BYTES = 4096
 
 
@@ -147,12 +147,10 @@ def _read_preamble(sock: socket.socket) -> tuple[str, str, str] | None:
             problem = "without a string app_id and fqdn"
         elif meta.get("channel", "native") not in CHANNELS:
             problem = f"with unknown channel {meta['channel']!r}"
-        elif not is_valid_san(fqdn := normalize_fqdn(meta["fqdn"])):
-            problem = f"with host {meta['fqdn']!r}, which no certificate can name"
-        elif fqdn.startswith("*."):
-            problem = f"with wildcard host {meta['fqdn']!r}"
+        elif not is_requestable(meta["fqdn"]):
+            problem = f"with host {meta['fqdn']!r}, which no flow can request"
         else:
-            return meta["app_id"], fqdn, meta.get("channel", "native")
+            return meta["app_id"], normalize_fqdn(meta["fqdn"]), meta.get("channel", "native")
     log.warning("dropping connection: preamble %s", problem)
     return None
 

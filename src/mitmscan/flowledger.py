@@ -9,6 +9,8 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+from .certforge import is_valid_san
+
 log = logging.getLogger(__name__)
 
 TRANSPORTS = ("TCP", "UDP")
@@ -37,6 +39,11 @@ class DuplicateFlowError(Exception):
 def normalize_fqdn(fqdn: str) -> str:
     """Lowercase, strip trailing dot. No punycode decoding: match on-the-wire SNI."""
     return fqdn.strip().lower().rstrip(".")
+
+
+def is_requestable(fqdn: str) -> bool:
+    """Whether a flow can request ``fqdn``: normalized, a SAN name that is no wildcard."""
+    return is_valid_san(host := normalize_fqdn(fqdn)) and not host.startswith("*.")
 
 
 @dataclass

@@ -8,8 +8,7 @@ code location whose validation logic accepted it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
-from fractions import Fraction
+from dataclasses import dataclass
 from pathlib import Path
 
 from .flowledger import FlowRecord, normalize_fqdn
@@ -156,47 +155,32 @@ def correlate(
     return list(by_location.values()), unmatched
 
 
-@dataclass
-class CoverageReport:
-    fqdn_cov: Fraction | None
-    flow_cov: Fraction | None
-    app_all: Fraction | None
-    app_one: Fraction | None
-
-    def as_dict(self) -> dict:
-        def fmt(v):
-            return None if v is None else float(v)
-
-        return {k: fmt(v) for k, v in asdict(self).items()}
-
-
 def coverage(
-    attributions: list[Attribution],
-    vulnerable_flows: list[FlowRecord],
-    apps: list[str],
-) -> CoverageReport:
-    """Locator coverage ratios; undefined (None) rather than 0 on empty sets."""
-    attributed = set()
-    for attribution in attributions:
-        attributed |= attribution.matched_flows
+    attributions: list[Attribution], vulnerable_flows: list[FlowRecord]
+) -> dict[str, float | None]:
+    """Locator coverage ratios; undefined (None) rather than 0 on empty sets.
 
+    ``fqdn_cov`` and ``flow_cov`` are the shares of vulnerable (app, host)
+    pairs and flows that some code location was attributed; ``app_all`` and
+    ``app_one`` the shares of vulnerable apps with all, or at least one, of
+    their vulnerable flows attributed.
+    """
+    attributed = set().union(*(a.matched_flows for a in attributions))
     located = [f for f in vulnerable_flows if f.identity in attributed]
     vuln_fqdns = {(f.app_id, f.fqdn) for f in vulnerable_flows}
     located_fqdns = {(f.app_id, f.fqdn) for f in located}
 
     # app -> whether each of its vulnerable flows was located.
-    app_set = set(apps)
     located_by_app: dict[str, list[bool]] = {}
     for f in vulnerable_flows:
-        if f.app_id in app_set:
-            located_by_app.setdefault(f.app_id, []).append(f.identity in attributed)
+        located_by_app.setdefault(f.app_id, []).append(f.identity in attributed)
 
-    def ratio(num: int, den: int) -> Fraction | None:
-        return None if den == 0 else Fraction(num, den)
+    def ratio(num: int, den: int) -> float | None:
+        return None if den == 0 else num / den  # int division rounds the exact ratio
 
-    return CoverageReport(
-        fqdn_cov=ratio(len(located_fqdns), len(vuln_fqdns)),
-        flow_cov=ratio(len(located), len(vulnerable_flows)),
-        app_all=ratio(sum(all(v) for v in located_by_app.values()), len(located_by_app)),
-        app_one=ratio(sum(any(v) for v in located_by_app.values()), len(located_by_app)),
-    )
+    return {
+        "fqdn_cov": ratio(len(located_fqdns), len(vuln_fqdns)),
+        "flow_cov": ratio(len(located), len(vulnerable_flows)),
+        "app_all": ratio(sum(all(v) for v in located_by_app.values()), len(located_by_app)),
+        "app_one": ratio(sum(any(v) for v in located_by_app.values()), len(located_by_app)),
+    }

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+
+from .locator import ValidationEvent
 
 PARTY_DEVELOPER = "app_developer"
 PARTY_THIRD_PARTY = "third_party"
@@ -27,39 +29,6 @@ class PackageAnnotation:
             )
 
 
-@dataclass(frozen=True)
-class CodeSnippetRef:
-    """One located snippet: where it lives and what it affected."""
-
-    snippet_id: str
-    app_id: str
-    code_location: str  # dotted: pkg.sub.Class.method
-    fqdns: frozenset[str] = frozenset()
-
-    @property
-    def package(self) -> str:
-        parts = self.code_location.split(".")
-        return ".".join(parts[:-2]) if len(parts) > 2 else ""
-
-
-@dataclass
-class PartyAttribution:
-    snippet_id: str
-    party: str
-    library_name: str | None = None
-    provider: str | None = None
-    matched_prefix: str | None = None
-
-
-@dataclass
-class PartyReport:
-    parties: dict[str, dict] = field(default_factory=dict)
-    attributions: list[PartyAttribution] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {"parties": self.parties}
-
-
 def load_annotations(path: str | Path | None = None) -> list[PackageAnnotation]:
     """Load the annotation list; ambiguous prefixes fail fast."""
     if path is None:
@@ -79,58 +48,51 @@ def load_annotations(path: str | Path | None = None) -> list[PackageAnnotation]:
     return annotations
 
 
-def _best_annotation(
-    package: str, annotations: list[PackageAnnotation]
-) -> PackageAnnotation | None:
-    best = None
-    for ann in annotations:
-        if package == ann.prefix or package.startswith(ann.prefix + "."):
-            if best is None or len(ann.prefix) > len(best.prefix):
-                best = ann
-    return best
-
-
 def attribute(
-    snippets: list[CodeSnippetRef], annotations: list[PackageAnnotation]
-) -> PartyReport:
-    """Assign every snippet to exactly one party; longest annotated prefix wins."""
-    report = PartyReport()
-    per_party: dict[str, dict[str, set]] = {
-        PARTY_DEVELOPER: {"snippets": set(), "apps": set(), "fqdns": set()},
-        PARTY_THIRD_PARTY: {"snippets": set(), "apps": set(), "fqdns": set()},
-    }
-    for snippet in snippets:
-        ann = _best_annotation(snippet.package, annotations)
-        if ann is not None and ann.is_third_party:
-            party = PARTY_THIRD_PARTY
-            attribution = PartyAttribution(
-                snippet.snippet_id, party, ann.library_name, ann.provider, ann.prefix
-            )
-        else:
-            # Unannotated or explicitly first-party: the app developer owns it.
-            party = PARTY_DEVELOPER
-            attribution = PartyAttribution(
-                snippet.snippet_id,
-                party,
-                matched_prefix=ann.prefix if ann else None,
-            )
-        report.attributions.append(attribution)
-        per_party[party]["snippets"].add(snippet.snippet_id)
-        per_party[party]["apps"].add(snippet.app_id)
-        per_party[party]["fqdns"] |= snippet.fqdns
+    events: list[ValidationEvent], annotations: list[PackageAnnotation]
+) -> dict[str, dict]:
+    """The ``parties`` split of ``report.json``: accepting code locations by party.
 
-    totals = {
-        "snippets": len({s.snippet_id for s in snippets}),
-        "apps": len({s.app_id for s in snippets}),
-        "fqdns": len({f for s in snippets for f in s.fqdns}),
+    A code location with at least one accepted event is one snippet. The app
+    of its first accepted event owns it, and its hosts are the
+    ``hostname_param`` or ``cert_cn`` of its accepted events. The longest
+    annotated prefix of its package decides its party; an unannotated or
+    first-party package belongs to the app developer. Each party counts its
+    snippets, apps and hosts, each also as a percentage of all of them (None
+    when there are none).
+    """
+    # code location -> (app of its first accepted event, hosts it accepted)
+    snippets: dict[str, tuple[str, set[str]]] = {}
+    for event in events:
+        if event.verdict != "accepted":
+            continue
+        _, hosts = snippets.setdefault(event.code_location, (event.app_id, set()))
+        if host := event.hostname_param or event.cert_cn:
+            hosts.add(host)
+
+    per_party: dict[str, dict[str, set]] = {
+        party: {"snippets": set(), "apps": set(), "fqdns": set()}
+        for party in (PARTY_DEVELOPER, PARTY_THIRD_PARTY)
     }
+    for location, (app_id, hosts) in snippets.items():
+        package = ".".join(location.split(".")[:-2])  # drop Class.method
+        best = max(
+            (a for a in annotations
+             if package == a.prefix or package.startswith(a.prefix + ".")),
+            key=lambda a: len(a.prefix),
+            default=None,
+        )
+        sets = per_party[PARTY_THIRD_PARTY if best and best.is_third_party else PARTY_DEVELOPER]
+        sets["snippets"].add(location)
+        sets["apps"].add(app_id)
+        sets["fqdns"] |= hosts
+
+    parties = {}
     for party, sets in per_party.items():
         entry = {}
-        for dim in ("snippets", "apps", "fqdns"):
-            count = len(sets[dim])
-            entry[dim] = count
-            entry[f"{dim}_pct"] = (
-                100.0 * count / totals[dim] if totals[dim] else None
-            )
-        report.parties[party] = entry
-    return report
+        for dim, values in sets.items():
+            total = len(per_party[PARTY_DEVELOPER][dim] | per_party[PARTY_THIRD_PARTY][dim])
+            entry[dim] = len(values)
+            entry[f"{dim}_pct"] = 100.0 * len(values) / total if total else None
+        parties[party] = entry
+    return parties

@@ -67,8 +67,17 @@ def test_invalid_config_exits_2(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{oops")
     assert main(["scan", "--config", str(notjson)]) == EXIT_USAGE
-    # a bad --fleet is refused before --out is made
-    for fleet in (tmp_path / "missing_fleet.json", notjson):
+    # a bad --fleet is refused before --out is made: an app with no host, or
+    # a host that the engine would drop
+    bad_fleets = []
+    for name, fqdns in [("no_hosts", []), ("bad_host", ["bad_host.example"]),
+                        ("wildcard", ["*.wild.example"])]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps([
+            {"app_id": "com.bad.app", "fqdns": fqdns, "profile": ClientProfile().as_dict()}
+        ]))
+        bad_fleets.append(path)
+    for fleet in (tmp_path / "missing_fleet.json", notjson, *bad_fleets):
         out = tmp_path / f"out_{fleet.stem}"
         assert main(["scan", "--fleet", str(fleet), "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
@@ -171,6 +180,58 @@ def test_report_with_missing_classification_exits_2(scan_dir, tmp_path):
     assert main(args + ["--classification", str(classification)]) == EXIT_OK
     report = json.loads((tmp_path / "rep" / "report.json").read_text())
     assert report["classification"] == json.loads(classification.read_text())
+
+
+def test_report_with_bad_annotations_exits_2(scan_dir, tmp_path):
+    args = ["report", "--scan", str(scan_dir), "--out", str(tmp_path / "rep")]
+    assert main(args + ["--annotations", str(tmp_path / "missing.json")]) == EXIT_USAGE
+    no_library = tmp_path / "no_library.json"
+    no_library.write_text('[{"prefix": "com.sdk", "is_third_party": true, "provider": "SdkCo"}]')
+    assert main(args + ["--annotations", str(no_library)]) == EXIT_USAGE
+
+
+def _event(app_id, code_location, verdict, **names):
+    kind = "webview_client" if "hostname_param" in names else "trust_manager"
+    return {"event_id": f"{app_id}-{code_location}", "app_id": app_id,
+            "code_location": code_location, "interface_kind": kind, "verdict": verdict,
+            "mitm_active": True, "ts": 0.0, "hostname_param": None, "cert_cn": None,
+            "cert_sans": None, **names}
+
+
+def test_report_party_split_of_hand_written_events(tmp_path):
+    """A location is one snippet, owned by the app that first accepted there."""
+    jpush = "cn.jiguang.net.HttpsTrustManager.checkServerTrusted"
+    events = [
+        _event("com.app1", jpush, "accepted", cert_cn="push.example.com"),
+        _event("com.app4", jpush, "accepted", cert_cn="api.app4.example.com"),
+        _event("com.app2", "com.app2.net.Trust.checkServerTrusted", "accepted",
+               cert_cn="api.app2.example.com", cert_sans=["cdn.app2.example.com"]),
+        _event("com.app3", "com.app3.net.Strict.checkServerTrusted", "rejected",
+               cert_cn="strict.app3.example.com"),
+        _event("com.app1", "com.app1.web.Client.onReceivedSslError", "accepted",
+               hostname_param="web.app1.example.com"),
+    ]
+    scan = tmp_path / "scan"
+    scan.mkdir()
+    for test in ("T1", "T2", "T3"):
+        (scan / f"ledger_{test}.jsonl").touch()
+    (scan / "events.jsonl").write_text("".join(json.dumps(e) + "\n" for e in events))
+    out = tmp_path / "rep"
+    assert main(["report", "--scan", str(scan), "--out", str(out), "--freeze-time"]) == EXIT_OK
+    parties = json.loads((out / "report.json").read_text())["party_attribution"]["parties"]
+    # Three snippets: the JPush location, owned by com.app1 (not com.app4),
+    # with hosts push.example.com and api.app4.example.com; com.app2's own
+    # location with api.app2.example.com (its SAN counts for nothing);
+    # com.app1's webview client with web.app1.example.com. com.app3's
+    # location accepted nothing. So all: 3 snippets, 2 apps, 4 hosts.
+    assert parties == {
+        "third_party": {"snippets": 1, "snippets_pct": 100.0 * 1 / 3,
+                        "apps": 1, "apps_pct": 50.0,
+                        "fqdns": 2, "fqdns_pct": 50.0},
+        "app_developer": {"snippets": 2, "snippets_pct": 100.0 * 2 / 3,
+                          "apps": 2, "apps_pct": 100.0,
+                          "fqdns": 2, "fqdns_pct": 50.0},
+    }
 
 
 def test_report_prevalence_matches_recount(scan_dir, tmp_path):

@@ -383,9 +383,9 @@ def _after_reply(address, app_id) -> socket.socket:
         (b"[1]\n", "not a JSON object"),
         (_preamble(fqdn=5), "without a string app_id and fqdn"),
         (_preamble(channel="bogus"), "with unknown channel 'bogus'"),
-        (_preamble(fqdn="a..example.com"), "which no certificate can name"),
-        (_preamble(fqdn="café.example.com"), "which no certificate can name"),
-        (_preamble(fqdn="*.example.com"), "with wildcard host '*.example.com'"),
+        (_preamble(fqdn="a..example.com"), "host 'a..example.com', which no flow can request"),
+        (_preamble(fqdn="café.example.com"), "host 'café.example.com', which no flow can"),
+        (_preamble(fqdn="*.example.com"), "host '*.example.com', which no flow can request"),
     ],
     ids=["oversized", "not-json", "not-an-object", "fqdn-not-a-string", "unknown-channel",
          "empty-label", "non-ascii-host", "wildcard-host"],

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,18 +156,13 @@ def test_coverage_exact_fractions():
     vuln = [flow("app1", "a.example.com", 0), flow("app2", "c.example.com", 1)]
     events, _ = wildcard_scenario()
     attributions, _ = correlate(events, vuln)
-    cov = coverage(attributions, vuln, ["app1", "app2"])
-    assert cov.fqdn_cov == Fraction(1, 2)
-    assert cov.flow_cov == Fraction(1, 2)
-    assert cov.app_all == Fraction(1, 2)
-    assert cov.app_one == Fraction(1, 2)
+    assert coverage(attributions, vuln) == {
+        "fqdn_cov": 0.5, "flow_cov": 0.5, "app_all": 0.5, "app_one": 0.5
+    }
 
 
 def test_coverage_undefined_on_empty():
-    cov = coverage([], [], [])
-    assert cov.fqdn_cov is None and cov.flow_cov is None
-    assert cov.app_all is None and cov.app_one is None
-    assert cov.as_dict() == {
+    assert coverage([], []) == {
         "fqdn_cov": None, "flow_cov": None, "app_all": None, "app_one": None
     }
 
