@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from cryptography import x509
 
 from .certforge import TrustStore
-from .flowledger import CHANNELS, POLICIES, is_requestable
+from .flowledger import CHANNELS, POLICIES, is_requestable, normalize_fqdn
 from .profiles import ClientProfile, client_accepts
 
 log = logging.getLogger(__name__)
@@ -66,6 +66,7 @@ class FlowSpec:
             raise ValueError(f"bad channel: {self.channel}")
         if not is_requestable(self.fqdn):
             raise ValueError(f"host {self.fqdn!r} is no name a flow can request")
+        object.__setattr__(self, "fqdn", normalize_fqdn(self.fqdn))
 
 
 @dataclass(frozen=True)
@@ -283,7 +284,7 @@ def execute_session(
 ) -> SessionResult:
     """Explore one app sequentially, executing every flow its actions trigger.
 
-    A flow goes to the engine when its host, lowercased, is in ``mitm_hosts``.
+    A flow goes to the engine when its host is in ``mitm_hosts``, a set of normalized hosts.
     """
     rng = random.Random(f"{config.seed}:{app.app_id}")
     result = SessionResult(app_id=app.app_id)
@@ -299,7 +300,7 @@ def execute_session(
         step += 1
         result.steps_taken = step
         for spec in action.flows:
-            if spec.fqdn.lower() in mitm_hosts:
+            if spec.fqdn in mitm_hosts:
                 result.flows.append(perform_flow(app, spec, engine_addr, store, now))
             else:
                 result.flows.append(FlowResult(spec.fqdn, spec.channel, "DIRECT", None))

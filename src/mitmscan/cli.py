@@ -14,7 +14,7 @@ from pathlib import Path
 from . import appsim, classifier, fleet, locator, metrics, party
 from .certforge import CertConfig, cert_dns_names
 from .engine import MitmEngine, MitmMaterial, forge_for, wall_clock
-from .flowledger import POLICY_ALIASES, TESTS, FlowLedger
+from .flowledger import POLICY_ALIASES, TESTS, FlowLedger, normalize_fqdn, read_ledger
 
 log = logging.getLogger(__name__)
 
@@ -104,13 +104,13 @@ def run_scan(
 
     Only hosts in ``allowlist`` (default: every host of the fleet) reach the
     engines. ``out`` gets one ledger per test, ``events.jsonl``,
-    ``fleet.json`` and ``scan_report.json``.
+    ``fleet.json`` and ``scan_report.json``, each written anew.
     """
     started = time.monotonic()
     out.mkdir(parents=True, exist_ok=True)
     if allowlist is None:
         allowlist = sorted({f for app in apps for f in app.fqdns()})
-    mitm_hosts = {h.lower() for h in allowlist}
+    mitm_hosts = {normalize_fqdn(h) for h in allowlist}
     per_app: dict[str, dict] = {
         app.app_id: {"steps": 0, "flows": 0, "partial": False, "vulnerable": {}}
         for app in apps
@@ -118,9 +118,7 @@ def run_scan(
     events: list[locator.ValidationEvent] = []
     entity_summaries = {}
     for test in TESTS:
-        ledger_path = out / f"ledger_{test}.jsonl"
-        ledger_path.touch()
-        ledger = FlowLedger(ledger_path)
+        ledger = FlowLedger(out / f"ledger_{test}.jsonl")
         with MitmEngine(
             material, test, config.policy, ledger, grace_seconds=grace, freeze_time=freeze_time
         ) as engine:
@@ -188,15 +186,17 @@ def cmd_scan(args) -> int:
 # -- locate --------------------------------------------------------------------
 
 
+def _read(load, path, what: str):
+    """``load(path)``; a file that is missing or malformed is a ConfigError."""
+    try:
+        return load(path)
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def cmd_locate(args) -> int:
-    events_path = Path(args.events)
-    ledger_path = Path(args.ledger)
-    if not events_path.exists():
-        raise ConfigError(f"events file not found: {events_path}")
-    if not ledger_path.exists():
-        raise ConfigError(f"ledger file not found: {ledger_path}")
-    events = locator.load_events(events_path)
-    records = FlowLedger(ledger_path).records()
+    events = _read(locator.load_events, args.events, "events")
+    records = _read(read_ledger, args.ledger, "ledger")
     vulnerable = [r for r in records if r.outcome == "vulnerable"]
     attributions, unmatched = locator.correlate(events, vulnerable)
     report = {
@@ -277,33 +277,16 @@ def cmd_classify(args) -> int:
 
 def cmd_report(args) -> int:
     scan_dir = Path(args.scan)
-    if not scan_dir.exists():
-        raise ConfigError(f"scan directory not found: {scan_dir}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    prevalence_by_test = {}
-    ratio_values: list[float] = []
-    for test in TESTS:
-        path = scan_dir / f"ledger_{test}.jsonl"
-        if not path.exists():
-            raise ConfigError(f"missing ledger for {test}: {path}")
-        stats = metrics.prevalence(FlowLedger(path))
-        prevalence_by_test[test] = stats
-        ratio_values.extend(stats["per_app_ratio"]["values"])
-
-    try:
-        annotations = party.load_annotations(args.annotations)
-    except (OSError, ValueError, TypeError) as exc:
-        raise ConfigError(f"cannot load annotations {args.annotations}: {exc}") from exc
+    prevalence_by_test = {
+        test: metrics.prevalence(_read(read_ledger, scan_dir / f"ledger_{test}.jsonl", "ledger"))
+        for test in TESTS
+    }
+    annotations = _read(party.load_annotations, args.annotations, "annotations")
     events_path = scan_dir / "events.jsonl"
     party_report = None
     if events_path.exists():
-        events = locator.load_events(events_path)
+        events = _read(locator.load_events, events_path, "events")
         party_report = {"parties": party.attribute(events, annotations)}
-
-    points = metrics.cdf(ratio_values)
-    metrics.write_cdf_csv(points, out / "cdf_per_app_ratio.csv")
 
     report = {
         "generated_at": wall_clock(args.freeze_time),
@@ -312,10 +295,13 @@ def cmd_report(args) -> int:
         "cdf_files": ["cdf_per_app_ratio.csv"],
     }
     if args.classification:
-        classification = Path(args.classification)
-        if not classification.exists():
-            raise ConfigError(f"classification file not found: {classification}")
-        report["classification"] = json.loads(classification.read_text())
+        report["classification"] = _read(
+            lambda path: json.loads(Path(path).read_text()), args.classification, "classification"
+        )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    ratios = [r for stats in prevalence_by_test.values() for r in stats["per_app_ratio"]["values"]]
+    metrics.write_cdf_csv(metrics.cdf(ratios), out / "cdf_per_app_ratio.csv")
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"report written to {out / 'report.json'}")
     return EXIT_OK

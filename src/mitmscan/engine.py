@@ -156,7 +156,7 @@ def _read_preamble(sock: socket.socket) -> tuple[str, str, str] | None:
 
 
 class Listener:
-    """A TCP listener: a blocking accept loop, one handler thread per connection.
+    """A TCP listener on a free port of 127.0.0.1: one handler thread per connection.
 
     ``stop()`` shuts the listening socket down, which wakes the blocked
     ``accept()`` at once, then joins the accept thread and every handler
@@ -165,10 +165,10 @@ class Listener:
     ``timeout``, which bounds every socket wait of its handler.
     """
 
-    def __init__(self, handle, timeout: float, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, handle, timeout: float):
         self._handle = handle
         self._timeout = timeout
-        self._sock = socket.create_server((host, port))
+        self._sock = socket.create_server(("127.0.0.1", 0))
         self._handlers: set[threading.Thread] = set()
         self._lock = threading.Lock()
         self._stopping = threading.Event()
@@ -260,10 +260,10 @@ class MitmEngine:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
+    def start(self) -> tuple[str, int]:
         timeout = max(self.grace_seconds * 4, 5.0)
         try:
-            self._listener = Listener(self._handle_connection, timeout, host, port)
+            self._listener = Listener(self._handle_connection, timeout)
         except OSError as exc:
             raise RuntimeError(f"listener bind failed: {exc}") from exc
         return self._listener.start()

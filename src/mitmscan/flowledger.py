@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,10 +29,6 @@ POLICY_ALIASES = {
     "skip": POLICY_ONCE,
     "skip-if-vulnerable": POLICY_UNTIL_VULNERABLE,
 }
-
-
-class DuplicateFlowError(Exception):
-    """A flow with an identical (app_id, fqdn, timestamp) tuple already exists."""
 
 
 def normalize_fqdn(fqdn: str) -> str:
@@ -83,64 +78,56 @@ class FlowRecord:
         return json.dumps(vars(self), sort_keys=True)
 
 
+def read_ledger(path: str | Path) -> list[FlowRecord]:
+    """The records of the ledger file at ``path``, which is only read.
+
+    A last line with no newline that is not JSON was torn by an interrupted
+    append: it is left out, with a warning. Raises ValueError on a bad line
+    or a repeated flow identity.
+    """
+    text = Path(path).read_text()
+    lines = text.splitlines()
+    if lines and not text.endswith("\n"):
+        try:
+            json.loads(lines[-1])
+        except ValueError:
+            log.warning("%s: leaving out a torn last line of %d bytes", path, len(lines[-1]))
+            lines.pop()
+    records = [FlowRecord(**json.loads(line)) for line in lines if line.strip()]
+    seen: set[tuple[str, str, int]] = set()
+    for record in records:
+        if record.identity in seen:
+            raise ValueError(f"{path}: repeated flow identity {record.identity}")
+        seen.add(record.identity)
+    return records
+
+
 class FlowLedger:
     """Append-only flow store that numbers its own records.
 
     Every method holds the ledger's private lock only while it reads or
     writes the store, so callers share no lock and hold none across I/O.
-    When a path is given, records are appended to a JSONL file as they arrive
-    and the in-memory index is rebuilt on load. A last line cut mid-write is
-    dropped on load, with a warning, and cut from the file.
+    When a path is given, the file there starts empty and each record is
+    appended to it as a JSONL line as it arrives; ``read_ledger`` reads it.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._lock = threading.Lock()
         self._records: list[FlowRecord] = []
-        self._identities: set[tuple[str, str, int]] = set()
         # (app_id, fqdn, test) -> list of outcomes in arrival order.
         self._history: dict[tuple[str, str, str], list[str]] = {}
         self._path = Path(path) if path else None
-        if self._path and self._path.exists():
-            for line in self._complete_lines():
-                if line.strip():
-                    self._index(FlowRecord(**json.loads(line)))
-
-    def _complete_lines(self) -> list[str]:
-        """The file's lines, after mending an unterminated last line.
-
-        One that is not JSON was torn by an interrupted append: the file is
-        truncated to the line before it. One that is gets its newline. Either
-        way the next append starts a line of its own.
-        """
-        data = self._path.read_bytes()
-        end = data.rfind(b"\n") + 1
-        tail = data[end:]
-        if tail:
-            try:
-                json.loads(tail)
-            except ValueError:
-                log.warning("%s: dropping a torn last line of %d bytes", self._path, len(tail))
-                os.truncate(self._path, end)
-                data = data[:end]
-            else:
-                with self._path.open("ab") as fh:
-                    fh.write(b"\n")
-        return data.decode().splitlines()
-
-    def _index(self, flow: FlowRecord) -> None:
-        if flow.identity in self._identities:
-            raise DuplicateFlowError(f"duplicate flow identity {flow.identity}")
-        self._identities.add(flow.identity)
-        self._records.append(flow)
-        if flow.test_applied is not None:
-            history_key = (flow.app_id, flow.fqdn, flow.test_applied)
-            self._history.setdefault(history_key, []).append(flow.outcome)
+        if self._path:
+            self._path.write_bytes(b"")
 
     def record_flow(self, **fields) -> None:
         """Append the flow of ``fields``; its ``ts_mono`` is the count of records before it."""
         with self._lock:
             flow = FlowRecord(ts_mono=len(self._records), **fields)
-            self._index(flow)
+            self._records.append(flow)
+            if flow.test_applied is not None:
+                history_key = (flow.app_id, flow.fqdn, flow.test_applied)
+                self._history.setdefault(history_key, []).append(flow.outcome)
             if self._path:
                 with self._path.open("a") as fh:
                     fh.write(flow.to_json() + "\n")

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .flowledger import FlowLedger
+from .flowledger import FlowRecord
 
 
 # -- detection and coverage rates ----------------------------------------------
@@ -57,14 +57,14 @@ def coverage_rates(c: CoverageSets) -> dict[str, float | None]:
 # -- prevalence ------------------------------------------------------------------
 
 
-def prevalence(ledger: FlowLedger) -> dict:
+def prevalence(records: list[FlowRecord]) -> dict:
     """Vulnerable fraction per entity class plus the per-app flow-ratio spread.
 
     Each app's ratio is taken over its unique (app, fqdn) pairs. Skipped
     flows never count toward denominators; the conclusive base is
     vulnerable + secure + inconclusive.
     """
-    records = [r for r in ledger.records() if r.outcome != "skipped"]
+    records = [r for r in records if r.outcome != "skipped"]
     apps = {r.app_id for r in records}
     fqdns = {r.fqdn for r in records}
     app_fqdns = {(r.app_id, r.fqdn) for r in records}

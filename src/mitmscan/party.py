@@ -38,11 +38,6 @@ def load_annotations(path: str | Path | None = None) -> list[PackageAnnotation]:
     else:
         text = Path(path).read_text()
     annotations = [PackageAnnotation(**entry) for entry in json.loads(text)]
-    seen: dict[str, bool] = {}
-    for ann in annotations:
-        if ann.prefix in seen and seen[ann.prefix] != ann.is_third_party:
-            raise ValueError(f"prefix {ann.prefix!r} annotated both ways")
-        seen[ann.prefix] = ann.is_third_party
     if len({a.prefix for a in annotations}) != len(annotations):
         raise ValueError("duplicate annotation prefixes")
     return annotations

@@ -20,6 +20,7 @@ from mitmscan.flowledger import (
     TESTS,
     FlowLedger,
     FlowRecord,
+    read_ledger,
 )
 from mitmscan.locator import ValidationEvent, correlate, coverage
 from mitmscan.taxonomy import validate_labels
@@ -54,7 +55,7 @@ def test_truth_table_conformance(material, tmp_path, capsys):
     mismatches = []
     total = 0
     for test in TESTS:
-        for rec in FlowLedger(tmp_path / f"ledger_{test}.jsonl").records():
+        for rec in read_ledger(tmp_path / f"ledger_{test}.jsonl"):
             total += 1
             want = expected[(rec.app_id, rec.fqdn, test, rec.channel)]
             if rec.outcome != want:
@@ -125,7 +126,7 @@ def test_routing_isolation(material, tmp_path, capsys):
         cli.run_scan(config, scanned, allowlist, out, material, grace=0.3, freeze_time=True)
         want = {(a.app_id, f) for a in scanned if a.app_id in allowed_ids for f in a.fqdns()}
         for test in TESTS:
-            records = FlowLedger(out / f"ledger_{test}.jsonl").records()
+            records = read_ledger(out / f"ledger_{test}.jsonl")
             leaked += sum(1 for r in records if r.app_id not in allowed_ids)
             missed += len(want - {(r.app_id, r.fqdn) for r in records})
     _report(
@@ -243,7 +244,7 @@ def test_metrics_oracle_equivalence(capsys):
                 app_id=row[0], fqdn=row[1], ts_wall="2025-04-01T00:00:00+00:00",
                 test_applied="T1", outcome=row[2],
             )
-        stats = metrics.prevalence(ledger)
+        stats = metrics.prevalence(ledger.records())
         live = [r for r in rows if r[2] != "skipped"]
         if live:
             apps = {r[0] for r in live}

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,27 +10,25 @@ import pytest
 
 from mitmscan import cli
 from mitmscan.cli import EXIT_OK, EXIT_USAGE, main
+from mitmscan.flowledger import read_ledger
 from mitmscan.profiles import ClientProfile
 
 CORPUS = str(Path(__file__).resolve().parents[1] / "src" / "mitmscan" / "data" / "corpus")
 
 
+SCAN = ["scan", "--seed", "7", "--freeze-time", "--strategy", "scripted",
+        "--policy", "always", "--grace", "0.5"]
+
+
 @pytest.fixture(scope="module")
 def scan_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("scan")
-    code = main(
-        [
-            "scan",
-            "--out", str(out),
-            "--seed", "7",
-            "--freeze-time",
-            "--strategy", "scripted",
-            "--policy", "always",
-            "--grace", "0.5",
-        ]
-    )
-    assert code == EXIT_OK
+    assert main(SCAN + ["--out", str(out)]) == EXIT_OK
     return out
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
 def test_scan_outputs(scan_dir):
@@ -57,6 +56,33 @@ def test_scan_report_vulnerables_exist_in_ledger(scan_dir):
         for app_id, stats in report["apps"].items():
             for entry in stats["vulnerable"].get(test, []):
                 assert (app_id, entry["fqdn"], entry["channel"]) in vulnerable
+
+
+def test_rescan_into_the_same_dir_writes_the_same_bytes(scan_dir, tmp_path):
+    out = tmp_path / "scan"
+    shutil.copytree(scan_dir, out)
+    assert main(SCAN + ["--out", str(out)]) == EXIT_OK
+    assert _files(out) == _files(scan_dir)
+
+
+def test_trailing_dot_host_is_tested_under_its_normal_name(tmp_path):
+    fleet_path = tmp_path / "fleet.json"
+    fleet_path.write_text(json.dumps([{
+        "app_id": "com.dot.app",
+        "fqdns": ["A.Example.COM.", "b.example.com"],
+        "profile": ClientProfile(trust_behavior="T1", hostname_behavior="H1").as_dict(),
+    }]))
+    out = tmp_path / "out"
+    assert main(["scan", "--fleet", str(fleet_path), "--strategy", "scripted", "--policy",
+                 "always", "--grace", "0.2", "--freeze-time", "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "scan_report.json").read_text())
+    assert report["config"]["allowlist"] == ["a.example.com", "b.example.com"]
+    for test in ("T1", "T2", "T3"):
+        outcomes = {}
+        for rec in read_ledger(out / f"ledger_{test}.jsonl"):
+            outcomes.setdefault(rec.fqdn, {})[rec.channel] = rec.outcome
+        assert set(outcomes["a.example.com"]) == {"native", "webview"}
+        assert outcomes["a.example.com"] == outcomes["b.example.com"], test
 
 
 def test_invalid_config_exits_2(tmp_path):
@@ -176,6 +202,9 @@ def test_report_with_missing_classification_exits_2(scan_dir, tmp_path):
     missing = str(tmp_path / "missing.json")
     assert main(args + ["--classification", missing]) == EXIT_USAGE
     classification = tmp_path / "classify.json"
+    classification.write_text("{oops")
+    assert main(args + ["--classification", str(classification)]) == EXIT_USAGE
+    assert not (tmp_path / "rep").exists()
     assert main(["classify", "--corpus", CORPUS, "--out", str(classification)]) == EXIT_OK
     assert main(args + ["--classification", str(classification)]) == EXIT_OK
     report = json.loads((tmp_path / "rep" / "report.json").read_text())
@@ -188,6 +217,53 @@ def test_report_with_bad_annotations_exits_2(scan_dir, tmp_path):
     no_library = tmp_path / "no_library.json"
     no_library.write_text('[{"prefix": "com.sdk", "is_third_party": true, "provider": "SdkCo"}]')
     assert main(args + ["--annotations", str(no_library)]) == EXIT_USAGE
+    both_ways = tmp_path / "both_ways.json"
+    both_ways.write_text('[{"prefix": "com.x", "is_third_party": false},'
+                         ' {"prefix": "com.x", "is_third_party": true,'
+                         '  "library_name": "X", "provider": "XCo"}]')
+    assert main(args + ["--annotations", str(both_ways)]) == EXIT_USAGE
+
+
+def _locate_and_report(scan, out):
+    """Exit codes of ``locate`` on each ledger of ``scan``, then of ``report`` on it."""
+    codes = [
+        main(["locate", "--events", str(scan / "events.jsonl"),
+              "--ledger", str(scan / f"ledger_{test}.jsonl"),
+              "--out", str(out / f"locate_{test}.json")])
+        for test in ("T1", "T2", "T3")
+    ]
+    return codes + [main(["report", "--scan", str(scan), "--out", str(out / "rep")])]
+
+
+def test_locate_and_report_leave_the_scan_dir_as_it_was(scan_dir, tmp_path):
+    scan = tmp_path / "scan"
+    shutil.copytree(scan_dir, scan)
+    torn = scan / "ledger_T1.jsonl"
+    torn.write_bytes(torn.read_bytes() + b'{"app_id": "com.fleet.t')
+    before = _files(scan)
+    assert _locate_and_report(scan, tmp_path) == [EXIT_OK] * 4
+    assert _files(scan) == before
+
+
+def test_malformed_scan_inputs_exit_2(scan_dir, tmp_path, capsys):
+    """A bad ledger fails its own locate and the report; bad events fail all four."""
+    lines = (scan_dir / "ledger_T1.jsonl").read_text().splitlines(keepends=True)
+    bad_channel = json.dumps({**json.loads(lines[1]), "channel": "browser"}) + "\n"
+    ledger_fails = [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_USAGE]
+    cases = [
+        ("ledger_T1.jsonl", lines[0] + "{oops\n" + "".join(lines[1:]), ledger_fails),
+        ("ledger_T1.jsonl", lines[0] + bad_channel + "".join(lines[2:]), ledger_fails),
+        ("ledger_T1.jsonl", lines[0] + '{"app_id": "x"}\n' + "".join(lines[1:]), ledger_fails),
+        ("ledger_T1.jsonl", "".join(lines) + lines[0], ledger_fails),
+        ("events.jsonl", "{oops\n" + (scan_dir / "events.jsonl").read_text(), [EXIT_USAGE] * 4),
+    ]
+    for i, (name, text, codes) in enumerate(cases):
+        scan = tmp_path / f"scan{i}"
+        shutil.copytree(scan_dir, scan)
+        (scan / name).write_text(text)
+        assert _locate_and_report(scan, tmp_path) == codes, (name, i)
+    assert not (tmp_path / "rep").exists()  # report reads every input before it writes
+    assert "internal error" not in capsys.readouterr().err
 
 
 def _event(app_id, code_location, verdict, **names):

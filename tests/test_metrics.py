@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mitmscan.flowledger import FlowLedger
+from mitmscan.flowledger import FlowRecord
 from mitmscan.metrics import (
     CoverageSets,
     DetectionSets,
@@ -14,11 +14,13 @@ from mitmscan.metrics import (
 )
 
 
-def flow(app, fqdn, outcome):
-    return dict(
-        app_id=app, fqdn=fqdn, ts_wall="2025-04-01T00:00:00+00:00",
-        test_applied="T1", outcome=outcome,
-    )
+def flows(rows):
+    """One T1 record per (app, fqdn, outcome) row, numbered in order."""
+    return [
+        FlowRecord(app_id=app, fqdn=fqdn, ts_wall="2025-04-01T00:00:00+00:00", ts_mono=i,
+                   test_applied="T1", outcome=outcome)
+        for i, (app, fqdn, outcome) in enumerate(rows)
+    ]
 
 
 def test_detection_rates_examples():
@@ -47,7 +49,6 @@ def test_coverage_rates_examples():
 
 
 def test_prevalence_basic():
-    ledger = FlowLedger()
     rows = [
         ("app1", "a.com", "vulnerable"),
         ("app1", "b.com", "secure"),
@@ -55,9 +56,7 @@ def test_prevalence_basic():
         ("app3", "c.com", "secure"),
         ("app4", "d.com", "skipped"),
     ]
-    for app, fqdn, outcome in rows:
-        ledger.record_flow(**flow(app, fqdn, outcome))
-    stats = prevalence(ledger)
+    stats = prevalence(flows(rows))
     assert stats["fractions"]["apps"] == pytest.approx(1 / 3)
     assert stats["fractions"]["flows"] == pytest.approx(1 / 4)
     # app1 ratio over unique (app, fqdn) pairs: 1 of 2
@@ -66,12 +65,9 @@ def test_prevalence_basic():
 
 
 def test_prevalence_dedups_hosts():
-    ledger = FlowLedger()
     # app hits same fqdn three times, vulnerable once
-    ledger.record_flow(**flow("app", "a.com", "vulnerable"))
-    ledger.record_flow(**flow("app", "a.com", "secure"))
-    ledger.record_flow(**flow("app", "a.com", "secure"))
-    assert prevalence(ledger)["per_app_ratio"]["values"] == [1.0]
+    rows = [("app", "a.com", "vulnerable"), ("app", "a.com", "secure"), ("app", "a.com", "secure")]
+    assert prevalence(flows(rows))["per_app_ratio"]["values"] == [1.0]
 
 
 @settings(max_examples=50, deadline=None)
@@ -86,10 +82,7 @@ def test_prevalence_dedups_hosts():
     )
 )
 def test_prevalence_matches_recount(rows):
-    ledger = FlowLedger()
-    for app, fqdn, outcome in rows:
-        ledger.record_flow(**flow(app, fqdn, outcome))
-    stats = prevalence(ledger)
+    stats = prevalence(flows(rows))
 
     tested = [(a, f, o) for a, f, o in rows if o != "skipped"]
     vulnerable = [(a, f) for a, f, o in tested if o == "vulnerable"]
