@@ -1,4 +1,4 @@
-"""Synthetic app fleet: scripted UI exploration driving real TLS flows.
+"""Synthetic app fleet: UI exploration driving real TLS flows.
 
 Each synthetic app is a small screen graph. Exercising an action triggers
 network flows. Flows to hosts in the scan's allowlist go to the interception
@@ -95,6 +95,9 @@ class SyntheticApp:
         if not self.screens[self.start_screen].actions:
             raise ValueError(f"start screen {self.start_screen!r} has no action")
         for screen in self.screens.values():
+            labels = [action.label for action in screen.actions]
+            if BACK_ACTION in labels or len(set(labels)) != len(labels):
+                raise ValueError(f"screen {screen.name!r} repeats a label or uses {BACK_ACTION!r}")
             for action in screen.actions:
                 if action.goto is not None and action.goto not in self.screens:
                     raise ValueError(f"action {action.label!r} jumps to unknown screen")
@@ -111,9 +114,9 @@ class SyntheticApp:
 # -- exploration strategies --------------------------------------------------
 
 
-def _candidate_actions(screen: Screen, at_start: bool) -> list[Action]:
+def _candidate_actions(screen: Screen, history: list[str]) -> list[Action]:
     actions = list(screen.actions)
-    if not at_start:
+    if history:
         actions.append(Action(label=BACK_ACTION))
     return actions
 
@@ -123,23 +126,26 @@ def next_action(
     screen: Screen,
     rng: random.Random,
     strategy: str,
-    script: list[str] | None = None,
-    step: int = 0,
+    history: list[str],
+    taken: set[tuple[str, str]],
     llm=None,
-) -> Action:
-    """Choose the next UI action on a screen under the given strategy."""
-    at_start = screen.name == app.start_screen
-    candidates = _candidate_actions(screen, at_start)
+) -> Action | None:
+    """Choose the next UI action on a screen under the given strategy.
+
+    ``history`` names the screens ``back`` returns to, the latest last;
+    ``back`` is offered exactly when it is not empty. ``scripted`` walks the
+    screen graph depth first: the first action of the screen whose
+    ``(screen name, label)`` is not in ``taken``, else ``back``, else None
+    once the walk is done.
+    """
+    candidates = _candidate_actions(screen, history)
     if strategy == "random":
         return rng.choice(candidates)
     if strategy == "scripted":
-        if script is None or step >= len(script):
-            raise ValueError("scripted strategy exhausted its script")
-        label = script[step]
         for action in candidates:
-            if action.label == label:
+            if (screen.name, action.label) not in taken:
                 return action
-        raise ValueError(f"script step {label!r} not available on {screen.name!r}")
+        return None
     # external_llm: ask the backend, fall back to random on unusable output.
     prompt = build_action_prompt(app, screen, candidates)
     try:
@@ -279,37 +285,39 @@ def execute_session(
     engine_addr: tuple[str, int],
     store: TrustStore,
     now: datetime.datetime,
-    script: list[str] | None = None,
     llm=None,
 ) -> SessionResult:
     """Explore one app sequentially, executing every flow its actions trigger.
 
     A flow goes to the engine when its host is in ``mitm_hosts``, a set of normalized hosts.
+    The session ends after ``config.n_steps`` actions or when ``next_action`` returns None.
     """
     rng = random.Random(f"{config.seed}:{app.app_id}")
     result = SessionResult(app_id=app.app_id)
     screen = app.screens[app.start_screen]
     history: list[str] = []
+    taken: set[tuple[str, str]] = set()
     started = time.monotonic()
-    step = 0
-    while config.n_steps == -1 or step < config.n_steps:
+    while config.n_steps == -1 or result.steps_taken < config.n_steps:
         if config.t_max is not None and time.monotonic() - started >= config.t_max:
             result.partial = config.n_steps != -1
             break
-        action = next_action(app, screen, rng, config.strategy, script, step, llm)
-        step += 1
-        result.steps_taken = step
+        action = next_action(app, screen, rng, config.strategy, history, taken, llm)
+        if action is None:
+            break
+        result.steps_taken += 1
         for spec in action.flows:
             if spec.fqdn in mitm_hosts:
                 result.flows.append(perform_flow(app, spec, engine_addr, store, now))
             else:
                 result.flows.append(FlowResult(spec.fqdn, spec.channel, "DIRECT", None))
         if action.label == BACK_ACTION:
-            history.pop() if history else None
-            screen = app.screens[history[-1] if history else app.start_screen]
-        elif action.goto is not None:
-            history.append(screen.name)
-            screen = app.screens[action.goto]
+            screen = app.screens[history.pop()]
+        else:
+            taken.add((screen.name, action.label))
+            if action.goto is not None:
+                history.append(screen.name)
+                screen = app.screens[action.goto]
         if config.t_wait:
             time.sleep(config.t_wait)
     return result

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -29,19 +28,25 @@ class ConfigError(Exception):
     """Invalid configuration or missing inputs; maps to exit code 2."""
 
 
+def _read(load, path, what: str):
+    """``load(path)``; a file that is missing or malformed is a ConfigError."""
+    try:
+        return load(path)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_json(path):
+    return json.loads(Path(path).read_text())
+
+
 # -- scan ----------------------------------------------------------------------
 
 
 def _load_scan_config(args) -> tuple[appsim.ScanConfig, list[str] | None]:
-    values = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            values = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    values = _read(_load_json, args.config, "config") if args.config else {}
+    if not isinstance(values, dict):
+        raise ConfigError(f"config {args.config} is not a JSON object")
     overrides = {
         "n_steps": args.steps,
         "t_wait": args.wait,
@@ -55,6 +60,10 @@ def _load_scan_config(args) -> tuple[appsim.ScanConfig, list[str] | None]:
         if value is not None:
             values[key] = value
     allowlist = values.pop("allowlist", None)
+    if allowlist is not None and not (
+        isinstance(allowlist, list) and all(isinstance(host, str) for host in allowlist)
+    ):
+        raise ConfigError("config allowlist is not a list of host names")
     try:
         return appsim.ScanConfig(**values), allowlist
     except (TypeError, ValueError) as exc:
@@ -123,14 +132,9 @@ def run_scan(
             material, test, config.policy, ledger, grace_seconds=grace, freeze_time=freeze_time
         ) as engine:
             for app in apps:
-                script = None
-                session_config = config
-                if config.strategy == "scripted":
-                    script = [a.label for a in app.screens[app.start_screen].actions]
-                    session_config = dataclasses.replace(config, n_steps=len(script) or 1)
                 session = appsim.execute_session(
-                    app, session_config, mitm_hosts, engine.address,
-                    material.client_store, material.config.now, script=script, llm=llm,
+                    app, config, mitm_hosts, engine.address,
+                    material.client_store, material.config.now, llm=llm,
                 )
                 stats = per_app[app.app_id]
                 stats["steps"] += session.steps_taken
@@ -172,10 +176,7 @@ def cmd_scan(args) -> int:
     llm = _llm_backend_from_env() if config.strategy == "external_llm" else None
     material = MitmMaterial.generate(CertConfig(seed=config.seed))
     if args.fleet:
-        try:
-            apps = fleet.load_fleet(args.fleet)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"cannot load fleet {args.fleet}: {exc}") from exc
+        apps = _read(fleet.load_fleet, args.fleet, "fleet")
     else:
         apps = fleet.demo_fleet(material)
     run_scan(config, apps, allowlist, Path(args.out), material, args.grace, args.freeze_time, llm)
@@ -184,14 +185,6 @@ def cmd_scan(args) -> int:
 
 
 # -- locate --------------------------------------------------------------------
-
-
-def _read(load, path, what: str):
-    """``load(path)``; a file that is missing or malformed is a ConfigError."""
-    try:
-        return load(path)
-    except (OSError, ValueError, TypeError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def cmd_locate(args) -> int:
@@ -247,11 +240,7 @@ def _llm_backend_from_env():
 
 
 def cmd_classify(args) -> int:
-    corpus_dir = Path(args.corpus)
-    if not (corpus_dir / "manifest.json").exists():
-        raise ConfigError(f"no manifest.json under {corpus_dir}")
-    corpus = classifier.load_corpus(corpus_dir)
-    corpus = classifier.dedup_by_class(corpus)
+    corpus = classifier.dedup_by_class(_read(classifier.load_corpus, args.corpus, "corpus"))
     if args.backend == "llm":
         backend = _llm_backend_from_env()
         predictions = classifier.classify_llm_batch(
@@ -295,9 +284,7 @@ def cmd_report(args) -> int:
         "cdf_files": ["cdf_per_app_ratio.csv"],
     }
     if args.classification:
-        report["classification"] = _read(
-            lambda path: json.loads(Path(path).read_text()), args.classification, "classification"
-        )
+        report["classification"] = _read(_load_json, args.classification, "classification")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ratios = [r for stats in prevalence_by_test.values() for r in stats["per_app_ratio"]["values"]]

@@ -16,7 +16,7 @@ from .profiles import ClientProfile, client_accepts
 def _app(app_id: str, fqdns: list[str], profile: ClientProfile) -> SyntheticApp:
     actions = [
         Action(
-            label=f"open-{fqdn.split('.')[0]}",
+            label=f"open-{fqdn}",
             flows=(FlowSpec(fqdn, "native"), FlowSpec(fqdn, "webview")),
         )
         for fqdn in fqdns

@@ -60,43 +60,64 @@ def test_scan_config_validation():
 
 
 def test_app_graph_validation():
-    with pytest.raises(ValueError):
-        SyntheticApp(
-            app_id="x",
-            profile=ClientProfile(),
-            screens={"home": Screen(name="home", actions=(Action(label="go", goto="nowhere"),))},
-            start_screen="home",
-        )
+    bad_screens = [
+        (Action(label="go", goto="nowhere"),),
+        (Action(label="open"), Action(label="open")),  # labels are unique per screen
+        (Action(label="back"),),  # reserved for going back
+    ]
+    for actions in bad_screens:
+        with pytest.raises(ValueError):
+            SyntheticApp(
+                app_id="x",
+                profile=ClientProfile(),
+                screens={"home": Screen(name="home", actions=actions)},
+                start_screen="home",
+            )
     assert two_screen_app().fqdns() == ["a.example.com", "b.example.com"]
 
 
 def test_next_action_random_is_seeded():
     app = two_screen_app()
     rng1, rng2 = random.Random(5), random.Random(5)
-    picks1 = [next_action(app, app.screens["home"], rng1, "random").label for _ in range(10)]
-    picks2 = [next_action(app, app.screens["home"], rng2, "random").label for _ in range(10)]
+    home = app.screens["home"]
+    picks1 = [next_action(app, home, rng1, "random", [], set()).label for _ in range(10)]
+    picks2 = [next_action(app, home, rng2, "random", [], set()).label for _ in range(10)]
     assert picks1 == picks2
 
 
 def test_next_action_scripted():
+    """The screen's first action not yet taken, in screen order; then back; then None."""
     app = two_screen_app()
-    action = next_action(app, app.screens["home"], random.Random(0), "scripted", ["settings"], 0)
-    assert action.label == "settings"
-    with pytest.raises(ValueError):
-        next_action(app, app.screens["home"], random.Random(0), "scripted", ["missing"], 0)
+    home, settings = app.screens["home"], app.screens["settings"]
+
+    def label(screen, history, taken):
+        action = next_action(app, screen, random.Random(0), "scripted", history, taken)
+        return None if action is None else action.label
+
+    assert label(home, [], set()) == "refresh"
+    assert label(home, [], {("home", "refresh")}) == "settings"
+    assert label(settings, ["home"], {("home", "refresh"), ("home", "settings")}) == "sync"
+    # a pair names its screen: "sync" taken on another screen is not taken here
+    assert label(settings, ["home"], {("other", "sync")}) == "sync"
+    everything = {("home", "refresh"), ("home", "settings"), ("settings", "sync")}
+    assert label(settings, ["home"], everything) == "back"
+    assert label(home, ["settings"], everything) == "back"
+    assert label(home, [], everything) is None
 
 
 def test_back_action_only_off_start():
+    """``back`` is offered exactly when the history holds a screen, start screen or not."""
     app = two_screen_app()
-    home_labels = {
-        next_action(app, app.screens["home"], random.Random(i), "random").label for i in range(30)
-    }
-    assert "back" not in home_labels
-    settings_labels = {
-        next_action(app, app.screens["settings"], random.Random(i), "random").label
-        for i in range(30)
-    }
-    assert "back" in settings_labels
+
+    def labels(screen, history):
+        return {
+            next_action(app, app.screens[screen], random.Random(i), "random", history, set()).label
+            for i in range(30)
+        }
+
+    assert labels("home", []) == {"refresh", "settings"}
+    assert labels("home", ["settings"]) == {"refresh", "settings", "back"}
+    assert labels("settings", ["home"]) == {"sync", "back"}
 
 
 def test_llm_strategy_parsing_and_fallback():
@@ -106,18 +127,18 @@ def test_llm_strategy_parsing_and_fallback():
     assert "refresh" in prompt and "Action:" in prompt
 
     good = next_action(
-        app, screen, random.Random(0), "external_llm",
+        app, screen, random.Random(0), "external_llm", [], set(),
         llm=lambda p: "Thoughts: go look\nAction: settings",
     )
     assert good.label == "settings"
 
     fallback = next_action(
-        app, screen, random.Random(0), "external_llm", llm=lambda p: "gibberish"
+        app, screen, random.Random(0), "external_llm", [], set(), llm=lambda p: "gibberish"
     )
     assert fallback.label in {"refresh", "settings"}
 
     erroring = next_action(
-        app, screen, random.Random(0), "external_llm",
+        app, screen, random.Random(0), "external_llm", [], set(),
         llm=lambda p: (_ for _ in ()).throw(RuntimeError("down")),
     )
     assert erroring.label in {"refresh", "settings"}
@@ -128,7 +149,7 @@ def test_llm_strategy_parsing_and_fallback():
 
 def test_execute_session_routes_and_counts(material):
     app = two_screen_app()
-    config = ScanConfig(strategy="scripted", n_steps=3, policy=POLICY_ALWAYS)
+    config = ScanConfig(strategy="scripted", n_steps=10, policy=POLICY_ALWAYS)
     ledger = FlowLedger()
     with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
         session = execute_session(
@@ -138,16 +159,42 @@ def test_execute_session_routes_and_counts(material):
             engine.address,
             material.client_store,
             material.config.now,
-            script=["refresh", "settings", "sync"],
         )
     assert [(f.route, f.accepted, f.error) for f in session.flows] == [
         ("MITM", False, None),
         ("DIRECT", None, None),  # counted, not intercepted
     ]
-    assert session.steps_taken == 3
+    # refresh, settings, sync, back; then the walk is done, well before its step cap
+    assert session.steps_taken == 4
     assert not session.partial
     # only the MITM-routed flow reached the ledger
     assert [r.fqdn for r in ledger.records()] == ["a.example.com"]
+
+
+def test_back_returns_to_the_screen_before(material):
+    """home -a-> A -b-> B, back: on A again, where ``x`` (only on A) is taken next."""
+    screens = {
+        "home": Screen(name="home", actions=(Action(label="a", goto="A"),)),
+        "A": Screen(name="A", actions=(
+            Action(label="b", goto="B"),
+            Action(label="x", flows=(FlowSpec("x.example.com"),)),
+        )),
+        "B": Screen(name="B", actions=(Action(label="c", flows=(FlowSpec("c.example.com"),)),)),
+    }
+    app = SyntheticApp(app_id="com.deep.app", profile=ClientProfile(), screens=screens,
+                       start_screen="home")
+    session = execute_session(
+        app,
+        ScanConfig(strategy="scripted", n_steps=20, policy=POLICY_ALWAYS),
+        set(),
+        ("127.0.0.1", 1),
+        material.client_store,
+        material.config.now,
+    )
+    # a, b, c, back (to A), x, back (to home); a back to home would never reach x
+    assert [f.fqdn for f in session.flows] == ["c.example.com", "x.example.com"]
+    assert session.steps_taken == 6
+    assert not session.partial
 
 
 def test_time_budget_marks_partial(material):

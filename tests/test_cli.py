@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from mitmscan import cli
+from mitmscan.appsim import Action, FlowSpec, ScanConfig, Screen, SyntheticApp
 from mitmscan.cli import EXIT_OK, EXIT_USAGE, main
-from mitmscan.flowledger import read_ledger
+from mitmscan.flowledger import POLICY_ALWAYS, TESTS, read_ledger
 from mitmscan.profiles import ClientProfile
 
 CORPUS = str(Path(__file__).resolve().parents[1] / "src" / "mitmscan" / "data" / "corpus")
@@ -85,7 +86,7 @@ def test_trailing_dot_host_is_tested_under_its_normal_name(tmp_path):
         assert outcomes["a.example.com"] == outcomes["b.example.com"], test
 
 
-def test_invalid_config_exits_2(tmp_path):
+def test_invalid_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n_steps": 0}')
     assert main(["scan", "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_USAGE
@@ -93,6 +94,14 @@ def test_invalid_config_exits_2(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{oops")
     assert main(["scan", "--config", str(notjson)]) == EXIT_USAGE
+    # a config that is no JSON object, or whose allowlist is no list of host
+    # names, is refused before --out is made
+    for i, text in enumerate(['[]', '{"allowlist": "a.example.com"}', '{"allowlist": [5]}']):
+        conf = tmp_path / f"conf{i}.json"
+        conf.write_text(text)
+        out = tmp_path / f"out_conf{i}"
+        assert main(["scan", "--config", str(conf), "--out", str(out)]) == EXIT_USAGE, text
+        assert not out.exists()
     # a bad --fleet is refused before --out is made: an app with no host, or
     # a host that the engine would drop
     bad_fleets = []
@@ -107,6 +116,61 @@ def test_invalid_config_exits_2(tmp_path):
         out = tmp_path / f"out_{fleet.stem}"
         assert main(["scan", "--fleet", str(fleet), "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_hosts_sharing_a_first_label_are_each_scanned(tmp_path):
+    """Each host's action has its own label, so the walk takes both."""
+    fleet_path = tmp_path / "fleet.json"
+    fleet_path.write_text(json.dumps([{
+        "app_id": "com.two.api",
+        "fqdns": ["api.a.example.com", "api.b.example.com"],
+        "profile": ClientProfile().as_dict(),
+    }]))
+    out = tmp_path / "out"
+    assert main(["scan", "--fleet", str(fleet_path), "--strategy", "scripted", "--policy",
+                 "always", "--grace", "0.2", "--freeze-time", "--out", str(out)]) == EXIT_OK
+    for test in TESTS:
+        hosts = sorted(rec.fqdn for rec in read_ledger(out / f"ledger_{test}.jsonl"))
+        assert hosts == ["api.a.example.com"] * 2 + ["api.b.example.com"] * 2, test
+
+
+def _deep_app():
+    """Hosts up to two screens below the start screen, and a goto back to it.
+
+    Every action requests its own host, so the ledger shows which were taken.
+    """
+    def action(label, goto=None):
+        return Action(label=label, flows=(FlowSpec(f"{label}.example.com"),), goto=goto)
+
+    screens = {
+        "home": Screen(name="home", actions=(action("h"), action("to-a", "A"),
+                                             action("to-c", "C"))),
+        "A": Screen(name="A", actions=(action("a"), action("to-b", "B"))),
+        "B": Screen(name="B", actions=(action("b"), action("to-home", "home"))),
+        "C": Screen(name="C", actions=(action("c"),)),
+    }
+    return SyntheticApp(app_id="com.deep.app", profile=ClientProfile(), screens=screens,
+                        start_screen="home")
+
+
+def test_scripted_walk_takes_every_action_once(material, tmp_path):
+    app = _deep_app()
+    hosts = sorted(app.fqdns())
+    # the walk ends by itself after 8 actions and 4 backs, under its cap of 20 steps
+    walks = {}
+    for strategy in ("scripted", "random"):
+        config = ScanConfig(strategy=strategy, n_steps=20, policy=POLICY_ALWAYS, seed=7)
+        out = tmp_path / strategy
+        cli.run_scan(config, [app], None, out, material, grace=0.2, freeze_time=True)
+        walks[strategy] = [
+            sorted(rec.fqdn for rec in read_ledger(out / f"ledger_{test}.jsonl"))
+            for test in TESTS
+        ]
+    assert walks["scripted"] == [hosts] * len(TESTS)
+    report = json.loads((tmp_path / "scripted" / "scan_report.json").read_text())
+    assert report["apps"]["com.deep.app"]["steps"] == 12 * len(TESTS)
+    assert all(set(hosts) - set(walk) for walk in walks["random"])
 
 
 def test_empty_allowlist_yields_zero_flows(tmp_path):
@@ -178,6 +242,25 @@ def test_classify_command(tmp_path):
     assert report["backend"] == "rule"
     assert report["evaluation"]["All Categories"]["f1"] == 1.0
     assert main(["classify", "--corpus", str(tmp_path)]) == EXIT_USAGE
+
+
+def test_malformed_corpus_exits_2(tmp_path, capsys):
+    manifest = json.loads((Path(CORPUS) / "manifest.json").read_text())
+    first = sorted(manifest)[0]
+    no_labels = {**manifest, first: {k: v for k, v in manifest[first].items() if k != "labels"}}
+    cases = {
+        "no_labels": json.dumps(no_labels),
+        "missing_snippet": json.dumps({**manifest, "Missing.java": manifest[first]}),
+        "not_json": "{oops",
+    }
+    for name, text in cases.items():
+        corpus = tmp_path / name
+        shutil.copytree(CORPUS, corpus)
+        (corpus / "manifest.json").write_text(text)
+        out = tmp_path / f"{name}.json"
+        assert main(["classify", "--corpus", str(corpus), "--out", str(out)]) == EXIT_USAGE, name
+        assert not out.exists()
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_classify_llm_without_config_exits_2(tmp_path, monkeypatch):
