@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from cryptography import x509
 
 from .certforge import TrustStore
-from .flowledger import CHANNELS, POLICIES, is_requestable, normalize_fqdn
+from .flowledger import CHANNELS, is_requestable, normalize_fqdn
 from .profiles import ClientProfile, client_accepts
 
 log = logging.getLogger(__name__)
@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 STRATEGIES = ("random", "scripted", "external_llm")
 
 MAX_REPLY_BYTES = 64 * 1024
+FLOW_TIMEOUT_SECONDS = 10.0  # bounds each socket wait of a flow
 
 BACK_ACTION = "back"
 
@@ -37,7 +38,7 @@ BACK_ACTION = "back"
 @dataclass(frozen=True)
 class ScanConfig:
     strategy: str = "random"
-    n_steps: int = 10  # -1 means unbounded, stop on t_max
+    n_steps: int = 10  # the most actions a session takes
     t_max: float | None = None  # seconds of session budget
     t_wait: float = 0.0  # settle time between actions
     policy: str = "P1_always"
@@ -46,14 +47,10 @@ class ScanConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"bad strategy: {self.strategy}")
-        if self.n_steps < 1 and self.n_steps != -1:
-            raise ValueError("n_steps must be >= 1, or -1 for unbounded")
-        if self.n_steps == -1 and self.t_max is None:
-            raise ValueError("unbounded sessions need a time budget")
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
         if self.t_wait < 0:
             raise ValueError("t_wait must be >= 0")
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy: {self.policy}")
 
 
 @dataclass(frozen=True)
@@ -245,11 +242,10 @@ def perform_flow(
     engine_addr: tuple[str, int],
     store: TrustStore,
     now: datetime.datetime,
-    timeout: float = 10.0,
 ) -> FlowResult:
     """Run one intercepted flow: preamble, TLS handshake, then a verdict on the served chain."""
     try:
-        raw = socket.create_connection(engine_addr, timeout=timeout)
+        raw = socket.create_connection(engine_addr, timeout=FLOW_TIMEOUT_SECONDS)
     except OSError as exc:
         return FlowResult(spec.fqdn, spec.channel, "MITM", None, f"connect: {exc}")
     try:
@@ -298,9 +294,9 @@ def execute_session(
     history: list[str] = []
     taken: set[tuple[str, str]] = set()
     started = time.monotonic()
-    while config.n_steps == -1 or result.steps_taken < config.n_steps:
+    while result.steps_taken < config.n_steps:
         if config.t_max is not None and time.monotonic() - started >= config.t_max:
-            result.partial = config.n_steps != -1
+            result.partial = True
             break
         action = next_action(app, screen, rng, config.strategy, history, taken, llm)
         if action is None:

@@ -26,6 +26,9 @@ from .taxonomy import (
 
 log = logging.getLogger(__name__)
 
+LLM_ATTEMPTS = 3  # calls of the backend per snippet before it counts as failed
+LLM_WORKERS = 4  # snippets classified at once by a batch
+
 
 class SnippetParseError(ValueError):
     """The focus method body could not be extracted from the source text."""
@@ -55,9 +58,22 @@ class Snippet:
 # -- source text handling ------------------------------------------------------
 
 
-def strip_comments(text: str) -> str:
-    text = re.sub(r"/\*.*?\*/", " ", text, flags=re.S)
-    return re.sub(r"//[^\n]*", " ", text)
+# A comment, or a string or char literal: whichever starts first.
+_COMMENT_OR_LITERAL = re.compile(
+    r"//[^\n]*|/\*.*?\*/|\"(?:[^\"\\\n]|\\.)*\"|'(?:[^'\\\n]|\\.)*'", re.S
+)
+
+
+def _blank(match: re.Match) -> str:
+    text = match[0]
+    if text[0] == "/":
+        return " " * len(text)
+    return text[0] + " " * (len(text) - 2) + text[-1]
+
+
+def blank_comments_and_literals(text: str) -> str:
+    """``text`` with comments, and literals between their quotes, blanked in place."""
+    return _COMMENT_OR_LITERAL.sub(_blank, text)
 
 
 def _closing(text: str, start: int) -> int:
@@ -76,7 +92,7 @@ def _closing(text: str, start: int) -> int:
 
 def extract_method_body(source_text: str, method_name: str) -> str:
     """Body of the first declaration of ``method_name``, braces excluded."""
-    text = strip_comments(source_text)
+    text = blank_comments_and_literals(source_text)
     for match in re.finditer(rf"\b{re.escape(method_name)}\s*\(", text):
         # Skip call sites: a declaration is preceded by a type or modifier,
         # not by a dot.
@@ -288,12 +304,11 @@ def classify_llm(
     backend,
     variant: str = "P2",
     examples: list[tuple[Snippet, set[str], str | None]] | None = None,
-    max_retries: int = 3,
 ) -> set[str]:
     """Classify via a ``prompt -> completion`` callable with bounded retries."""
     prompt = build_prompt(snippet, examples, variant)
     last_error: Exception | None = None
-    for attempt in range(max_retries):
+    for attempt in range(LLM_ATTEMPTS):
         try:
             completion = backend(prompt)
             break
@@ -301,7 +316,7 @@ def classify_llm(
             last_error = exc
             log.warning("backend attempt %d failed: %s", attempt + 1, exc)
     else:
-        raise BackendError(f"backend failed after {max_retries} attempts") from last_error
+        raise BackendError(f"backend failed after {LLM_ATTEMPTS} attempts") from last_error
     return parse_completion(completion, snippet.interface_kind)
 
 
@@ -310,16 +325,12 @@ def classify_llm_batch(
     backend,
     variant: str = "P2",
     examples=None,
-    max_retries: int = 3,
-    max_concurrency: int = 4,
 ) -> dict[str, set[str]]:
     from concurrent.futures import ThreadPoolExecutor  # only remote backends need threads
 
-    with ThreadPoolExecutor(max_workers=max_concurrency) as pool:
+    with ThreadPoolExecutor(max_workers=LLM_WORKERS) as pool:
         futures = {
-            s.snippet_id: pool.submit(
-                classify_llm, s, backend, variant, examples, max_retries
-            )
+            s.snippet_id: pool.submit(classify_llm, s, backend, variant, examples)
             for s in snippets
         }
         return {sid: fut.result() for sid, fut in futures.items()}
@@ -381,6 +392,8 @@ def load_corpus(path: str | Path) -> list[tuple[Snippet, set[str]]]:
     """Load snippets and ground truth from a directory with a manifest.json."""
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest.json is not a JSON object")
     corpus = []
     for filename, meta in sorted(manifest.items()):
         source = (path / filename).read_text()

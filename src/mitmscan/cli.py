@@ -21,8 +21,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
-DEFAULT_GRACE_SECONDS = 1.0
-
 
 class ConfigError(Exception):
     """Invalid configuration or missing inputs; maps to exit code 2."""
@@ -43,30 +41,19 @@ def _load_json(path):
 # -- scan ----------------------------------------------------------------------
 
 
-def _load_scan_config(args) -> tuple[appsim.ScanConfig, list[str] | None]:
-    values = _read(_load_json, args.config, "config") if args.config else {}
-    if not isinstance(values, dict):
-        raise ConfigError(f"config {args.config} is not a JSON object")
-    overrides = {
+def _scan_config(args) -> appsim.ScanConfig:
+    """The ScanConfig of the scan flags; a flag left out keeps its field's default."""
+    given = {
         "n_steps": args.steps,
         "t_wait": args.wait,
         "t_max": args.time_budget,
         "strategy": args.strategy,
+        "policy": POLICY_ALIASES.get(args.policy),
         "seed": args.seed,
     }
-    if args.policy:
-        overrides["policy"] = POLICY_ALIASES.get(args.policy, args.policy)
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
-    allowlist = values.pop("allowlist", None)
-    if allowlist is not None and not (
-        isinstance(allowlist, list) and all(isinstance(host, str) for host in allowlist)
-    ):
-        raise ConfigError("config allowlist is not a list of host names")
     try:
-        return appsim.ScanConfig(**values), allowlist
-    except (TypeError, ValueError) as exc:
+        return appsim.ScanConfig(**{k: v for k, v in given.items() if v is not None})
+    except ValueError as exc:
         raise ConfigError(f"invalid scan config: {exc}") from exc
 
 
@@ -105,7 +92,6 @@ def run_scan(
     allowlist: list[str] | None,
     out: Path,
     material: MitmMaterial,
-    grace: float,
     freeze_time: bool,
     llm=None,
 ) -> None:
@@ -128,9 +114,7 @@ def run_scan(
     entity_summaries = {}
     for test in TESTS:
         ledger = FlowLedger(out / f"ledger_{test}.jsonl")
-        with MitmEngine(
-            material, test, config.policy, ledger, grace_seconds=grace, freeze_time=freeze_time
-        ) as engine:
+        with MitmEngine(material, test, config.policy, ledger, freeze_time=freeze_time) as engine:
             for app in apps:
                 session = appsim.execute_session(
                     app, config, mitm_hosts, engine.address,
@@ -155,15 +139,7 @@ def run_scan(
     fleet.save_fleet(apps, out / "fleet.json")
     report = {
         "generated_at": wall_clock(freeze_time),
-        "config": {
-            "strategy": config.strategy,
-            "n_steps": config.n_steps,
-            "t_wait": config.t_wait,
-            "t_max": config.t_max,
-            "policy": config.policy,
-            "seed": config.seed,
-            "allowlist": allowlist,
-        },
+        "config": {**vars(config), "allowlist": allowlist},
         "apps": per_app,
         "entities": entity_summaries,
         "elapsed_seconds": 0.0 if freeze_time else round(time.monotonic() - started, 3),
@@ -172,14 +148,14 @@ def run_scan(
 
 
 def cmd_scan(args) -> int:
-    config, allowlist = _load_scan_config(args)
+    config = _scan_config(args)
     llm = _llm_backend_from_env() if config.strategy == "external_llm" else None
     material = MitmMaterial.generate(CertConfig(seed=config.seed))
     if args.fleet:
         apps = _read(fleet.load_fleet, args.fleet, "fleet")
     else:
         apps = fleet.demo_fleet(material)
-    run_scan(config, apps, allowlist, Path(args.out), material, args.grace, args.freeze_time, llm)
+    run_scan(config, apps, args.allowlist, Path(args.out), material, args.freeze_time, llm)
     print(f"scan complete: {len(apps)} apps, reports in {args.out}")
     return EXIT_OK
 
@@ -305,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="run the three interception tests over a fleet")
-    scan.add_argument("--config", help="JSON scan config file")
     scan.add_argument("--fleet", help="fleet definition JSON (default: built-in demo fleet)")
     scan.add_argument("--out", default="scan_out", help="output directory")
     scan.add_argument("--steps", type=int, help="exploration steps per app (N_steps)")
@@ -314,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--strategy", choices=appsim.STRATEGIES)
     scan.add_argument("--policy", choices=sorted(POLICY_ALIASES))
     scan.add_argument("--seed", type=int)
-    scan.add_argument("--grace", type=float, default=DEFAULT_GRACE_SECONDS,
-                      help="post-handshake grace window seconds (default %(default)s)")
+    scan.add_argument("--allowlist", nargs="*", metavar="HOST",
+                      help="hosts to intercept (default: every host of the fleet)")
     scan.add_argument("--freeze-time", action="store_true", help="pin report timestamps")
     scan.set_defaults(func=cmd_scan)
 

@@ -38,13 +38,14 @@ from .certforge import (
     key_pem,
     make_root,
 )
-from .flowledger import CHANNELS, TESTS, FlowLedger, is_requestable, normalize_fqdn
+from .flowledger import CHANNELS, POLICIES, TESTS, FlowLedger, is_requestable, normalize_fqdn
 
 log = logging.getLogger(__name__)
 
 ATTACKER_NAME = "attacker.invalid"
 FROZEN_WALL_TS = DEFAULT_NOW.isoformat()
 MAX_PREAMBLE_BYTES = 4096
+GRACE_SECONDS = 1.0  # how long the engine waits for a flow's data after its handshake
 
 
 def wall_clock(frozen: bool) -> str:
@@ -111,8 +112,6 @@ class MitmMaterial:
 
 def forge_for(test: str, target_fqdn: str, material: MitmMaterial) -> LeafCertificate:
     """The forged leaf a given test presents for a target destination."""
-    if test not in TESTS:
-        raise ValueError(f"unknown test kind: {test}")
     if test == "T1":
         return material.leaf_for(material.untrusted_root, target_fqdn)
     if test == "T2":
@@ -245,11 +244,13 @@ class MitmEngine:
         test: str,
         policy: str,
         ledger: FlowLedger,
-        grace_seconds: float,
+        grace_seconds: float = GRACE_SECONDS,
         freeze_time: bool = False,
     ):
         if test not in TESTS:
             raise ValueError(f"unknown test kind: {test}")
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy: {policy}")
         self.material = material
         self.test = test
         self.policy = policy

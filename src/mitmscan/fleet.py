@@ -197,6 +197,10 @@ def save_fleet(apps: list[SyntheticApp], path: str | Path) -> None:
 def load_fleet(path: str | Path) -> list[SyntheticApp]:
     apps = []
     for entry in json.loads(Path(path).read_text()):
+        if not (isinstance(entry, dict) and isinstance(entry.get("app_id"), str)
+                and isinstance(entry.get("fqdns"), list)
+                and all(isinstance(fqdn, str) for fqdn in entry["fqdns"])):
+            raise ValueError("a fleet entry needs a string app_id and a list of string fqdns")
         apps.append(
             _app(entry["app_id"], entry["fqdns"], ClientProfile.from_dict(entry["profile"]))
         )

@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import median
 
 from .flowledger import FlowRecord
 
@@ -86,23 +87,13 @@ def prevalence(records: list[FlowRecord]) -> dict:
         },
         "per_app_ratio": {
             "values": ratios,
-            "median": _median(ratios),
+            "median": median(ratios) if ratios else None,
             "mean": sum(ratios) / len(ratios) if ratios else None,
             "share_above_half": (
                 sum(1 for r in ratios if r > 0.5) / len(ratios) if ratios else None
             ),
         },
     }
-
-
-def _median(values: list[float]) -> float | None:
-    if not values:
-        return None
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 # -- empirical CDF -------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_truth_table_conformance(material, tmp_path, capsys):
     apps = demo_fleet(material)
     expected = expected_truth_table(apps, material)
     config = ScanConfig(strategy="scripted", policy=POLICY_ALWAYS, seed=7)
-    cli.run_scan(config, apps, None, tmp_path, material, grace=0.5, freeze_time=True)
+    cli.run_scan(config, apps, None, tmp_path, material, freeze_time=True)
     mismatches = []
     total = 0
     for test in TESTS:
@@ -123,7 +123,7 @@ def test_routing_isolation(material, tmp_path, capsys):
         scanned = rng.sample(apps, k=10)
         out = tmp_path / str(trial)
         config = ScanConfig(strategy="scripted", policy=POLICY_ALWAYS, seed=trial)
-        cli.run_scan(config, scanned, allowlist, out, material, grace=0.3, freeze_time=True)
+        cli.run_scan(config, scanned, allowlist, out, material, freeze_time=True)
         want = {(a.app_id, f) for a in scanned if a.app_id in allowed_ids for f in a.fqdns()}
         for test in TESTS:
             records = read_ledger(out / f"ledger_{test}.jsonl")
@@ -283,7 +283,7 @@ def test_end_to_end_determinism(tmp_path, capsys):
         report_out = tmp_path / run / "report"
         assert cli.main([
             "scan", "--out", str(scan_out), "--seed", "7", "--freeze-time",
-            "--strategy", "scripted", "--policy", "always", "--grace", "0.5",
+            "--strategy", "scripted", "--policy", "always",
         ]) == 0
         assert cli.main([
             "report", "--scan", str(scan_out), "--out", str(report_out), "--freeze-time",

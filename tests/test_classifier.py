@@ -10,6 +10,7 @@ from mitmscan.classifier import (
     Snippet,
     SnippetParseError,
     _swallowed_validation,
+    blank_comments_and_literals,
     build_prompt,
     classify_llm,
     classify_llm_batch,
@@ -19,7 +20,6 @@ from mitmscan.classifier import (
     extract_method_body,
     load_corpus,
     parse_completion,
-    strip_comments,
 )
 from mitmscan.taxonomy import validate_labels
 
@@ -67,7 +67,7 @@ def test_extract_skips_call_sites():
 
 def _char_loop_extract(source_text, method_name):
     """The character-by-character extractor the bracket scanner replaced."""
-    text = strip_comments(source_text)
+    text = blank_comments_and_literals(source_text)
     pattern = re.compile(rf"\b{re.escape(method_name)}\s*\(")
     for match in pattern.finditer(text):
         before = text[: match.start()].rstrip()
@@ -189,6 +189,26 @@ def test_classify_rule_is_pure():
     assert classify_rule(snippet) == classify_rule(snippet) == {"T1"}
 
 
+def test_brackets_and_slashes_inside_literals_are_not_code():
+    webview = Snippet(
+        "w", 'class W { public void onReceivedSslError(WebView v, SslErrorHandler handler,'
+        ' SslError e) { Log.d("ssl", "}"); handler.cancel(); } }',
+        "webview_client", "com.x.W", "onReceivedSslError",
+    )
+    assert classify_rule(webview) == {"W0"}
+    source = (
+        "class V implements HostnameVerifier {\n"
+        "  public boolean verify(String hostname, SSLSession session) {\n"
+        '    return !hostname.equals("https://api.example.com") && HttpsURLConnection'
+        ".getDefaultHostnameVerifier().verify(hostname, session);\n"
+        "  }\n"
+        "}\n"
+    )
+    body = extract_method_body(source, "verify")
+    assert "getDefaultHostnameVerifier()" in body and '"                       "' in body
+    assert classify_rule(Snippet("v", source, "hostname_verifier", "com.x.V", "verify")) == {"H0"}
+
+
 def test_corpus_exact_match_and_invariants():
     corpus = load_corpus(CORPUS_DIR)
     assert len(corpus) >= 40
@@ -259,7 +279,7 @@ def test_classify_llm_batch_bounded():
         tm_snippet("class C { void checkServerTrusted(X[] c, String a) { return; } }", f"s{i}")
         for i in range(5)
     ]
-    results = classify_llm_batch(snippets, lambda p: "T1", max_concurrency=2)
+    results = classify_llm_batch(snippets, lambda p: "T1")
     assert all(results[f"s{i}"] == {"T1"} for i in range(5))
 
 

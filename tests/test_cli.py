@@ -17,8 +17,7 @@ from mitmscan.profiles import ClientProfile
 CORPUS = str(Path(__file__).resolve().parents[1] / "src" / "mitmscan" / "data" / "corpus")
 
 
-SCAN = ["scan", "--seed", "7", "--freeze-time", "--strategy", "scripted",
-        "--policy", "always", "--grace", "0.5"]
+SCAN = ["scan", "--seed", "7", "--freeze-time", "--strategy", "scripted", "--policy", "always"]
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +74,7 @@ def test_trailing_dot_host_is_tested_under_its_normal_name(tmp_path):
     }]))
     out = tmp_path / "out"
     assert main(["scan", "--fleet", str(fleet_path), "--strategy", "scripted", "--policy",
-                 "always", "--grace", "0.2", "--freeze-time", "--out", str(out)]) == EXIT_OK
+                 "always", "--freeze-time", "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "scan_report.json").read_text())
     assert report["config"]["allowlist"] == ["a.example.com", "b.example.com"]
     for test in ("T1", "T2", "T3"):
@@ -87,30 +86,29 @@ def test_trailing_dot_host_is_tested_under_its_normal_name(tmp_path):
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"n_steps": 0}')
-    assert main(["scan", "--config", str(bad), "--out", str(tmp_path / "o")]) == EXIT_USAGE
-    assert main(["scan", "--config", str(tmp_path / "missing.json")]) == EXIT_USAGE
+    # a setting out of its range is refused before --out is made
+    for flags in (["--steps", "0"], ["--wait", "-1"]):
+        out = tmp_path / f"out{flags[0]}"
+        assert main(["scan", *flags, "--out", str(out)]) == EXIT_USAGE, flags
+        assert not out.exists()
+    # settings come from flags only: a config file is an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--config", str(tmp_path / "conf.json")])
+    assert exc.value.code == EXIT_USAGE
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{oops")
-    assert main(["scan", "--config", str(notjson)]) == EXIT_USAGE
-    # a config that is no JSON object, or whose allowlist is no list of host
-    # names, is refused before --out is made
-    for i, text in enumerate(['[]', '{"allowlist": "a.example.com"}', '{"allowlist": [5]}']):
-        conf = tmp_path / f"conf{i}.json"
-        conf.write_text(text)
-        out = tmp_path / f"out_conf{i}"
-        assert main(["scan", "--config", str(conf), "--out", str(out)]) == EXIT_USAGE, text
-        assert not out.exists()
-    # a bad --fleet is refused before --out is made: an app with no host, or
-    # a host that the engine would drop
+    # a bad --fleet is refused before --out is made: an app with no host, a
+    # host that the engine would drop, hosts that are no list of names, or an
+    # app id that is no string
     bad_fleets = []
-    for name, fqdns in [("no_hosts", []), ("bad_host", ["bad_host.example"]),
-                        ("wildcard", ["*.wild.example"])]:
+    for name, fields in [("no_hosts", {"fqdns": []}),
+                         ("bad_host", {"fqdns": ["bad_host.example"]}),
+                         ("wildcard", {"fqdns": ["*.wild.example"]}),
+                         ("hosts_str", {"fqdns": "abc"}),
+                         ("app_id_int", {"app_id": 5})]:
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps([
-            {"app_id": "com.bad.app", "fqdns": fqdns, "profile": ClientProfile().as_dict()}
-        ]))
+        path.write_text(json.dumps([{"app_id": "com.bad.app", "fqdns": ["a.example.com"],
+                                     "profile": ClientProfile().as_dict(), **fields}]))
         bad_fleets.append(path)
     for fleet in (tmp_path / "missing_fleet.json", notjson, *bad_fleets):
         out = tmp_path / f"out_{fleet.stem}"
@@ -129,7 +127,7 @@ def test_hosts_sharing_a_first_label_are_each_scanned(tmp_path):
     }]))
     out = tmp_path / "out"
     assert main(["scan", "--fleet", str(fleet_path), "--strategy", "scripted", "--policy",
-                 "always", "--grace", "0.2", "--freeze-time", "--out", str(out)]) == EXIT_OK
+                 "always", "--freeze-time", "--out", str(out)]) == EXIT_OK
     for test in TESTS:
         hosts = sorted(rec.fqdn for rec in read_ledger(out / f"ledger_{test}.jsonl"))
         assert hosts == ["api.a.example.com"] * 2 + ["api.b.example.com"] * 2, test
@@ -162,7 +160,7 @@ def test_scripted_walk_takes_every_action_once(material, tmp_path):
     for strategy in ("scripted", "random"):
         config = ScanConfig(strategy=strategy, n_steps=20, policy=POLICY_ALWAYS, seed=7)
         out = tmp_path / strategy
-        cli.run_scan(config, [app], None, out, material, grace=0.2, freeze_time=True)
+        cli.run_scan(config, [app], None, out, material, freeze_time=True)
         walks[strategy] = [
             sorted(rec.fqdn for rec in read_ledger(out / f"ledger_{test}.jsonl"))
             for test in TESTS
@@ -174,13 +172,23 @@ def test_scripted_walk_takes_every_action_once(material, tmp_path):
 
 
 def test_empty_allowlist_yields_zero_flows(tmp_path):
-    conf = tmp_path / "conf.json"
-    conf.write_text('{"allowlist": []}')
     out = tmp_path / "out"
-    assert main(["scan", "--config", str(conf), "--out", str(out), "--strategy",
+    assert main(["scan", "--allowlist", "--out", str(out), "--strategy",
                  "scripted", "--freeze-time"]) == EXIT_OK
     for test in ("T1", "T2", "T3"):
         assert (out / f"ledger_{test}.jsonl").read_text() == ""
+
+
+def test_allowlist_flag_scans_only_its_hosts(tmp_path):
+    out = tmp_path / "out"
+    assert main(["scan", "--allowlist", "T1.Example.COM", "--out", str(out), "--strategy",
+                 "scripted", "--freeze-time"]) == EXIT_OK
+    report = json.loads((out / "scan_report.json").read_text())
+    assert report["config"]["allowlist"] == ["T1.Example.COM"]
+    for test in TESTS:
+        records = read_ledger(out / f"ledger_{test}.jsonl")
+        assert {(r.app_id, r.fqdn) for r in records} == {("com.fleet.t1", "t1.example.com")}
+        assert len(records) == 2  # its native and its webview flow
 
 
 def test_external_llm_scan_without_config_exits_2(tmp_path, monkeypatch):
@@ -209,7 +217,7 @@ def test_external_llm_backend_drives_scan(tmp_path, monkeypatch, caplog):
     out = tmp_path / "out"
     with caplog.at_level(logging.WARNING):
         assert main(["scan", "--fleet", str(fleet_path), "--strategy", "external_llm",
-                     "--steps", "2", "--grace", "0.2", "--freeze-time",
+                     "--steps", "2", "--freeze-time",
                      "--out", str(out)]) == EXIT_OK
     assert len(prompts) == 6  # 2 steps x 3 tests
     assert "choosing randomly" not in caplog.text
@@ -252,6 +260,7 @@ def test_malformed_corpus_exits_2(tmp_path, capsys):
         "no_labels": json.dumps(no_labels),
         "missing_snippet": json.dumps({**manifest, "Missing.java": manifest[first]}),
         "not_json": "{oops",
+        "not_an_object": "[]",
     }
     for name, text in cases.items():
         corpus = tmp_path / name

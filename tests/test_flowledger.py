@@ -151,15 +151,6 @@ def test_decide_retest_p3_until_vulnerable():
     assert ledger.decide_retest(*key, POLICY_UNTIL_VULNERABLE, "T1") == "skip"
 
 
-def test_decide_retest_rejects_unknowns():
-    ledger = FlowLedger()
-    key = ("app.one", "a.example.com")
-    with pytest.raises(ValueError):
-        ledger.decide_retest(*key, "bogus", "T1")
-    with pytest.raises(ValueError):
-        ledger.decide_retest(*key, POLICY_ALWAYS, "T9")
-
-
 APPS = ("app.a", "app.b")
 # One host in several spellings, which the ledger must treat as one.
 HOSTS = ("a.example.com", "A.Example.COM", "a.example.com.", "b.example.com", "B.EXAMPLE.COM.")
