@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mitmscan.engine import MitmEngine
 from mitmscan.flowledger import (
     POLICIES,
     POLICY_ALIASES,
@@ -149,6 +150,14 @@ def test_decide_retest_p3_until_vulnerable():
     assert ledger.decide_retest(*key, POLICY_UNTIL_VULNERABLE, "T1") == "test"
     ledger.record_flow(**fields(outcome="vulnerable"))
     assert ledger.decide_retest(*key, POLICY_UNTIL_VULNERABLE, "T1") == "skip"
+
+
+def test_decide_retest_rejects_unknowns(material):
+    # decide_retest trusts its policy and test: the engine that calls it checks both when it is made.
+    with pytest.raises(ValueError, match="unknown policy"):
+        MitmEngine(material, "T1", "bogus", FlowLedger())
+    with pytest.raises(ValueError, match="unknown test"):
+        MitmEngine(material, "T9", POLICY_ALWAYS, FlowLedger())
 
 
 APPS = ("app.a", "app.b")
