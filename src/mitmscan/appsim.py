@@ -51,6 +51,8 @@ class ScanConfig:
             raise ValueError("n_steps must be >= 1")
         if self.t_wait < 0:
             raise ValueError("t_wait must be >= 0")
+        if self.t_max is not None and not self.t_max > 0:
+            raise ValueError("t_max must be > 0")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,14 @@ from pathlib import Path
 from . import appsim, classifier, fleet, locator, metrics, party
 from .certforge import CertConfig, cert_dns_names
 from .engine import MitmEngine, MitmMaterial, forge_for, wall_clock
-from .flowledger import POLICY_ALIASES, TESTS, FlowLedger, normalize_fqdn, read_ledger
+from .flowledger import (
+    POLICY_ALIASES,
+    TESTS,
+    FlowLedger,
+    is_requestable,
+    normalize_fqdn,
+    read_ledger,
+)
 
 log = logging.getLogger(__name__)
 
@@ -98,14 +105,19 @@ def run_scan(
     """Scan ``apps`` under T1, T2 and T3, and write the scan's files to ``out``.
 
     Only hosts in ``allowlist`` (default: every host of the fleet) reach the
-    engines. ``out`` gets one ledger per test, ``events.jsonl``,
-    ``fleet.json`` and ``scan_report.json``, each written anew.
+    engines; a host no flow can request is a ConfigError. ``out`` gets one
+    ledger per test, and ``events.jsonl``, ``fleet.json`` and
+    ``scan_report.json`` built from the ledgers as ``read_ledger`` reads
+    them, each written anew.
     """
     started = time.monotonic()
-    out.mkdir(parents=True, exist_ok=True)
     if allowlist is None:
         allowlist = sorted({f for app in apps for f in app.fqdns()})
+    bad_hosts = [h for h in allowlist if not is_requestable(h)]
+    if bad_hosts:
+        raise ConfigError(f"--allowlist hosts no flow can request: {bad_hosts}")
     mitm_hosts = {normalize_fqdn(h) for h in allowlist}
+    out.mkdir(parents=True, exist_ok=True)
     per_app: dict[str, dict] = {
         app.app_id: {"steps": 0, "flows": 0, "partial": False, "vulnerable": {}}
         for app in apps
@@ -113,7 +125,8 @@ def run_scan(
     events: list[locator.ValidationEvent] = []
     entity_summaries = {}
     for test in TESTS:
-        ledger = FlowLedger(out / f"ledger_{test}.jsonl")
+        ledger_path = out / f"ledger_{test}.jsonl"
+        ledger = FlowLedger(ledger_path)
         with MitmEngine(material, test, config.policy, ledger, freeze_time=freeze_time) as engine:
             for app in apps:
                 session = appsim.execute_session(
@@ -124,7 +137,8 @@ def run_scan(
                 stats["steps"] += session.steps_taken
                 stats["flows"] += len(session.flows)
                 stats["partial"] = stats["partial"] or session.partial
-        for rec in ledger.records():
+        records = read_ledger(ledger_path)
+        for rec in records:
             if rec.outcome == "skipped":
                 continue
             events.append(_event_for_flow(rec, material))
@@ -133,7 +147,7 @@ def run_scan(
                 entry = {"fqdn": rec.fqdn, "channel": rec.channel}
                 if entry not in vuln:
                     vuln.append(entry)
-        entity_summaries[test] = ledger.unique_entities()
+        entity_summaries[test] = metrics.entities(records)
 
     locator.save_events(events, out / "events.jsonl")
     fleet.save_fleet(apps, out / "fleet.json")

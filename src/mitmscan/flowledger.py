@@ -47,10 +47,10 @@ class FlowRecord:
     fqdn: str
     ts_wall: str
     ts_mono: int
+    test_applied: str
     transport: str = "TCP"
     tls_version: str = "unknown"
     channel: str = "native"
-    test_applied: str | None = None
     outcome: str = "inconclusive"
     # True when the destination had no SNI and is keyed by IP literal.
     sni_less: bool = False
@@ -65,10 +65,8 @@ class FlowRecord:
             raise ValueError(f"bad channel: {self.channel}")
         if self.outcome not in OUTCOMES:
             raise ValueError(f"bad outcome: {self.outcome}")
-        if self.test_applied is not None and self.test_applied not in TESTS:
+        if self.test_applied not in TESTS:
             raise ValueError(f"bad test_applied: {self.test_applied}")
-        if self.outcome == "skipped" and self.test_applied is None:
-            raise ValueError("skipped flows must carry the test the policy skipped")
 
     @property
     def identity(self) -> tuple[str, str, int]:
@@ -103,19 +101,21 @@ def read_ledger(path: str | Path) -> list[FlowRecord]:
 
 
 class FlowLedger:
-    """Append-only flow store that numbers its own records.
+    """Append-only flow store that numbers its own records and keeps no copy of them.
 
-    Every method holds the ledger's private lock only while it reads or
-    writes the store, so callers share no lock and hold none across I/O.
-    When a path is given, the file there starts empty and each record is
-    appended to it as a JSONL line as it arrives; ``read_ledger`` reads it.
+    It keeps their count, for ``ts_mono``, and the (app, host, test) keys
+    tested and found vulnerable, for ``decide_retest``. Every method holds
+    the ledger's private lock only while it reads or writes them, so callers
+    share no lock and hold none across I/O. When a path is given, the file
+    there starts empty and each record is appended to it as a JSONL line as
+    it arrives; ``read_ledger`` reads it.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._lock = threading.Lock()
-        self._records: list[FlowRecord] = []
-        # (app_id, fqdn, test) -> list of outcomes in arrival order.
-        self._history: dict[tuple[str, str, str], list[str]] = {}
+        self._count = 0
+        self._tested: set[tuple[str, str, str]] = set()
+        self._vulnerable: set[tuple[str, str, str]] = set()
         self._path = Path(path) if path else None
         if self._path:
             self._path.write_bytes(b"")
@@ -123,39 +123,21 @@ class FlowLedger:
     def record_flow(self, **fields) -> None:
         """Append the flow of ``fields``; its ``ts_mono`` is the count of records before it."""
         with self._lock:
-            flow = FlowRecord(ts_mono=len(self._records), **fields)
-            self._records.append(flow)
-            if flow.test_applied is not None:
-                history_key = (flow.app_id, flow.fqdn, flow.test_applied)
-                self._history.setdefault(history_key, []).append(flow.outcome)
+            flow = FlowRecord(ts_mono=self._count, **fields)
+            self._count += 1
+            key = (flow.app_id, flow.fqdn, flow.test_applied)
+            if flow.outcome != "skipped":
+                self._tested.add(key)
+            if flow.outcome == "vulnerable":
+                self._vulnerable.add(key)
             if self._path:
                 with self._path.open("a") as fh:
                     fh.write(flow.to_json() + "\n")
 
     def decide_retest(self, app_id: str, fqdn: str, policy: str, test: str) -> str:
-        """Returns "test" or "skip", purely from the ledger history for (app, host, test)."""
+        """Returns "test" or "skip", purely from the ledger's past flows for (app, host, test)."""
+        key = (app_id, normalize_fqdn(fqdn), test)
+        # P2 skips a key once it was tested, P3 once it was found vulnerable.
+        skips = {POLICY_ONCE: self._tested, POLICY_UNTIL_VULNERABLE: self._vulnerable}
         with self._lock:
-            history = self._history.get((app_id, normalize_fqdn(fqdn), test), [])
-            if policy == POLICY_ALWAYS:
-                return "test"
-            tested = [o for o in history if o != "skipped"]
-            if policy == POLICY_ONCE:
-                return "skip" if tested else "test"
-            # P3: retest until a vulnerability is detected.
-            return "skip" if "vulnerable" in tested else "test"
-
-    def records(self) -> list[FlowRecord]:
-        with self._lock:
-            return list(self._records)
-
-    def unique_entities(self) -> dict[str, int]:
-        with self._lock:
-            apps = {r.app_id for r in self._records}
-            fqdns = {r.fqdn for r in self._records}
-            app_fqdns = {(r.app_id, r.fqdn) for r in self._records}
-            return {
-                "apps": len(apps),
-                "flows": len(self._records),
-                "fqdns": len(fqdns),
-                "app_fqdns": len(app_fqdns),
-            }
+            return "skip" if key in skips.get(policy, ()) else "test"

@@ -58,6 +58,16 @@ def coverage_rates(c: CoverageSets) -> dict[str, float | None]:
 # -- prevalence ------------------------------------------------------------------
 
 
+def entities(records: list[FlowRecord]) -> dict[str, int]:
+    """How many distinct apps, flows, hosts and (app, host) pairs ``records`` hold."""
+    return {
+        "apps": len({r.app_id for r in records}),
+        "flows": len(records),
+        "fqdns": len({r.fqdn for r in records}),
+        "app_fqdns": len({(r.app_id, r.fqdn) for r in records}),
+    }
+
+
 def prevalence(records: list[FlowRecord]) -> dict:
     """Vulnerable fraction per entity class plus the per-app flow-ratio spread.
 
@@ -66,25 +76,15 @@ def prevalence(records: list[FlowRecord]) -> dict:
     vulnerable + secure + inconclusive.
     """
     records = [r for r in records if r.outcome != "skipped"]
-    apps = {r.app_id for r in records}
-    fqdns = {r.fqdn for r in records}
-    app_fqdns = {(r.app_id, r.fqdn) for r in records}
     vulnerable = [r for r in records if r.outcome == "vulnerable"]
-    v_apps = {r.app_id for r in vulnerable}
-    v_fqdns = {r.fqdn for r in vulnerable}
-    v_app_fqdns = {(r.app_id, r.fqdn) for r in vulnerable}
+    tested, found = entities(records), entities(vulnerable)
 
-    hosts_tested = Counter(app for app, _ in app_fqdns)
-    hosts_vulnerable = Counter(app for app, _ in v_app_fqdns)
+    hosts_tested = Counter(app for app, _ in {(r.app_id, r.fqdn) for r in records})
+    hosts_vulnerable = Counter(app for app, _ in {(r.app_id, r.fqdn) for r in vulnerable})
     ratios = [hosts_vulnerable[app] / hosts_tested[app] for app in sorted(hosts_tested)]
 
     return {
-        "fractions": {
-            "apps": _rate(len(v_apps), len(apps)),
-            "flows": _rate(len(vulnerable), len(records)),
-            "fqdns": _rate(len(v_fqdns), len(fqdns)),
-            "app_fqdns": _rate(len(v_app_fqdns), len(app_fqdns)),
-        },
+        "fractions": {k: _rate(found[k], tested[k]) for k in tested},
         "per_app_ratio": {
             "values": ratios,
             "median": median(ratios) if ratios else None,

@@ -70,10 +70,11 @@ def test_truth_table_conformance(material, tmp_path, capsys):
     )
 
 
-def test_retest_policy_ledgers(capsys):
+def test_retest_policy_ledgers(tmp_path, capsys):
     def simulate(policy, seed):
         rng = random.Random(seed)
-        ledger = FlowLedger()
+        path = tmp_path / f"{policy}.jsonl"
+        ledger = FlowLedger(path)
         for _ in range(200):
             app, host = f"app.{rng.randint(0, 4)}", f"h{rng.randint(0, 4)}.example.com"
             test = rng.choice(("T1", "T2", "T3"))
@@ -86,11 +87,11 @@ def test_retest_policy_ledgers(capsys):
                 app_id=app, fqdn=host, ts_wall="2025-04-01T00:00:00+00:00",
                 test_applied=test, outcome=outcome,
             )
-        return ledger
+        return read_ledger(path)
 
-    def sequences(ledger):
+    def sequences(records):
         seqs = {}
-        for rec in ledger.records():
+        for rec in records:
             letter = {"vulnerable": "v", "secure": "s", "skipped": "k"}[rec.outcome]
             seqs.setdefault((rec.app_id, rec.fqdn, rec.test_applied), []).append(letter)
         return ["".join(v) for v in seqs.values()]
@@ -231,20 +232,19 @@ def test_metrics_oracle_equivalence(capsys):
             failures += 1
 
         # prevalence vs recount
-        ledger = FlowLedger()
-        rows = []
-        for _ in range(rng.randint(1, 12)):
-            row = (
+        rows = [
+            (
                 f"app{rng.randint(0, 2)}",
                 f"h{rng.randint(0, 2)}.com",
                 rng.choice(("vulnerable", "secure", "inconclusive", "skipped")),
             )
-            rows.append(row)
-            ledger.record_flow(
-                app_id=row[0], fqdn=row[1], ts_wall="2025-04-01T00:00:00+00:00",
-                test_applied="T1", outcome=row[2],
-            )
-        stats = metrics.prevalence(ledger.records())
+            for _ in range(rng.randint(1, 12))
+        ]
+        stats = metrics.prevalence([
+            FlowRecord(app_id=app, fqdn=fqdn, ts_wall="2025-04-01T00:00:00+00:00", ts_mono=i,
+                       test_applied="T1", outcome=outcome)
+            for i, (app, fqdn, outcome) in enumerate(rows)
+        ])
         live = [r for r in rows if r[2] != "skipped"]
         if live:
             apps = {r[0] for r in live}

@@ -52,6 +52,9 @@ def test_scan_config_validation():
         ScanConfig(n_steps=-1, t_max=1.0)  # a time budget does not stand in for steps
     with pytest.raises(ValueError):
         ScanConfig(t_wait=-1)
+    for t_max in (0, -1.0):
+        with pytest.raises(ValueError):
+            ScanConfig(t_max=t_max)
     with pytest.raises(ValueError):
         ScanConfig(strategy="chaotic")
 
@@ -144,11 +147,11 @@ def test_llm_strategy_parsing_and_fallback():
     assert parse_action_reply("no action line", list(screen.actions)) is None
 
 
-def test_execute_session_routes_and_counts(material):
+def test_execute_session_routes_and_counts(material, ledger_file):
     app = two_screen_app()
     config = ScanConfig(strategy="scripted", n_steps=10, policy=POLICY_ALWAYS)
-    ledger = FlowLedger()
-    with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
+    path, read = ledger_file
+    with MitmEngine(material, "T1", POLICY_ALWAYS, FlowLedger(path), grace_seconds=0.3) as engine:
         session = execute_session(
             app,
             config,
@@ -165,7 +168,7 @@ def test_execute_session_routes_and_counts(material):
     assert session.steps_taken == 4
     assert not session.partial
     # only the MITM-routed flow reached the ledger
-    assert [r.fqdn for r in ledger.records()] == ["a.example.com"]
+    assert [r.fqdn for r in read()] == ["a.example.com"]
 
 
 def test_back_returns_to_the_screen_before(material):
@@ -196,7 +199,8 @@ def test_back_returns_to_the_screen_before(material):
 
 def test_time_budget_marks_partial(material):
     app = two_screen_app()
-    config = ScanConfig(strategy="random", n_steps=50, t_max=0.0, policy=POLICY_ALWAYS)
+    # the budget runs out in the settle wait after the first action
+    config = ScanConfig(strategy="random", n_steps=50, t_max=0.2, t_wait=0.25, policy=POLICY_ALWAYS)
     session = execute_session(
         app,
         config,
@@ -206,7 +210,7 @@ def test_time_budget_marks_partial(material):
         material.config.now,
     )
     assert session.partial
-    assert session.steps_taken == 0
+    assert session.steps_taken == 1
 
 
 def test_read_line_joins_a_reply_split_across_sends():

@@ -58,6 +58,19 @@ def test_scan_report_vulnerables_exist_in_ledger(scan_dir):
                 assert (app_id, entry["fqdn"], entry["channel"]) in vulnerable
 
 
+def test_scan_report_entities_match_recount(scan_dir):
+    report = json.loads((scan_dir / "scan_report.json").read_text())
+    for test in TESTS:
+        rows = [json.loads(line)
+                for line in (scan_dir / f"ledger_{test}.jsonl").read_text().splitlines()]
+        assert report["entities"][test] == {
+            "apps": len({r["app_id"] for r in rows}),
+            "flows": len(rows),
+            "fqdns": len({r["fqdn"] for r in rows}),
+            "app_fqdns": len({(r["app_id"], r["fqdn"]) for r in rows}),
+        }, test
+
+
 def test_rescan_into_the_same_dir_writes_the_same_bytes(scan_dir, tmp_path):
     out = tmp_path / "scan"
     shutil.copytree(scan_dir, out)
@@ -86,9 +99,11 @@ def test_trailing_dot_host_is_tested_under_its_normal_name(tmp_path):
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
-    # a setting out of its range is refused before --out is made
-    for flags in (["--steps", "0"], ["--wait", "-1"]):
-        out = tmp_path / f"out{flags[0]}"
+    # a setting out of its range, or an allowlist host no flow can request,
+    # is refused before --out is made
+    for i, flags in enumerate((["--steps", "0"], ["--wait", "-1"], ["--time-budget", "-1"],
+                               ["--time-budget", "0"], ["--allowlist", "bad_host", "*.x.com"])):
+        out = tmp_path / f"out{i}"
         assert main(["scan", *flags, "--out", str(out)]) == EXIT_USAGE, flags
         assert not out.exists()
     # settings come from flags only: a config file is an unknown flag

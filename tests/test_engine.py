@@ -67,10 +67,10 @@ def _one_screen_app(app_id, fqdn, profile, channel="native"):
     return SyntheticApp(app_id=app_id, profile=profile, screens={"home": screen}, start_screen="home")
 
 
-def _run_one(material, test, profile, channel="native", policy=POLICY_ALWAYS):
+def _run_one(ledger_file, material, test, profile, channel="native", policy=POLICY_ALWAYS):
+    path, read = ledger_file
     app = _one_screen_app("com.test.app", "svc.example.com", profile, channel)
-    ledger = FlowLedger()
-    with MitmEngine(material, test, policy, ledger, grace_seconds=0.3) as engine:
+    with MitmEngine(material, test, policy, FlowLedger(path), grace_seconds=0.3) as engine:
         result = perform_flow(
             app,
             FlowSpec("svc.example.com", channel),
@@ -78,7 +78,7 @@ def _run_one(material, test, profile, channel="native", policy=POLICY_ALWAYS):
             material.client_store,
             material.config.now,
         )
-    return ledger.records(), result
+    return read(), result
 
 
 def test_truth_table_oracle(material):
@@ -95,9 +95,9 @@ def test_truth_table_oracle(material):
     assert table[("com.test.trusting", "a.example.com", "T1", "native")] == "vulnerable"
 
 
-def test_engine_vulnerable_flow(material):
+def test_engine_vulnerable_flow(material, ledger_file):
     records, result = _run_one(
-        material, "T1", ClientProfile(trust_behavior="T1", hostname_behavior="H1")
+        ledger_file, material, "T1", ClientProfile(trust_behavior="T1", hostname_behavior="H1")
     )
     assert result.accepted is True
     assert [r.outcome for r in records] == ["vulnerable"]
@@ -105,17 +105,18 @@ def test_engine_vulnerable_flow(material):
     assert records[0].test_applied == "T1"
 
 
-def test_engine_secure_flow(material):
-    records, result = _run_one(material, "T1", ClientProfile())
+def test_engine_secure_flow(material, ledger_file):
+    records, result = _run_one(ledger_file, material, "T1", ClientProfile())
     assert result.accepted is False
     assert [r.outcome for r in records] == ["secure"]
 
 
-def test_engine_skip_policy(material):
+def test_engine_skip_policy(material, ledger_file):
     app = _one_screen_app(
         "com.test.app", "svc.example.com", ClientProfile(trust_behavior="T1", hostname_behavior="H1")
     )
-    ledger = FlowLedger()
+    path, read = ledger_file
+    ledger = FlowLedger(path)
     with MitmEngine(material, "T1", POLICY_ONCE, ledger, grace_seconds=0.3) as engine:
         for _ in range(2):
             perform_flow(
@@ -125,14 +126,15 @@ def test_engine_skip_policy(material):
                 material.client_store,
                 material.config.now,
             )
-    assert [r.outcome for r in ledger.records()] == ["vulnerable", "skipped"]
+    assert [r.outcome for r in read()] == ["vulnerable", "skipped"]
     # the skipped connection was served the legitimate chain
     legit = legit_for("svc.example.com", material)
     assert cert_dns_names(legit.cert) == ["svc.example.com", "svc.example.com"]
 
 
-def test_engine_inconclusive_on_early_abort(material):
-    ledger = FlowLedger()
+def test_engine_inconclusive_on_early_abort(material, ledger_file):
+    path, read = ledger_file
+    ledger = FlowLedger(path)
     with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
         sock = socket.create_connection(engine.address, timeout=5)
         sock.sendall(
@@ -142,15 +144,18 @@ def test_engine_inconclusive_on_early_abort(material):
         sock.recv(1)  # preamble reply starts flowing
         sock.close()  # abort before any TLS handshake
         deadline = time.monotonic() + 5
-        while not ledger.records() and time.monotonic() < deadline:
+        while not read() and time.monotonic() < deadline:
             time.sleep(0.02)
-    assert [r.outcome for r in ledger.records()] == ["inconclusive"]
+    assert [r.outcome for r in read()] == ["inconclusive"]
 
 
 @pytest.mark.parametrize("reset", [True, False], ids=["reset", "close"])
-def test_client_gone_after_reply_is_inconclusive_and_leaves_no_socket(material, reset):
+def test_client_gone_after_reply_is_inconclusive_and_leaves_no_socket(
+    material, reset, ledger_file
+):
     """A client that leaves right after the preamble reply never saw a certificate."""
-    ledger = FlowLedger()
+    path, read = ledger_file
+    ledger = FlowLedger(path)
     with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
         for _ in range(20):
             sock = _after_reply(engine.address, "com.test.app")
@@ -158,10 +163,10 @@ def test_client_gone_after_reply_is_inconclusive_and_leaves_no_socket(material, 
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
             sock.close()
     gc.collect()
-    assert [r.outcome for r in ledger.records()] == ["inconclusive"] * 20
+    assert [r.outcome for r in read()] == ["inconclusive"] * 20
 
 
-def test_client_decides_on_the_chain_the_handshake_served(material, monkeypatch):
+def test_client_decides_on_the_chain_the_handshake_served(material, monkeypatch, ledger_file):
     """A correct client judges the chain it was served, not the one the engine
     picked: a T1 engine made to serve the legitimate leaf gets accepted."""
     serve = MitmMaterial.serve
@@ -170,15 +175,15 @@ def test_client_decides_on_the_chain_the_handshake_served(material, monkeypatch)
         return serve(self, legit_for("svc.example.com", self))
 
     monkeypatch.setattr(MitmMaterial, "serve", serve_legit)
-    records, result = _run_one(material, "T1", ClientProfile())
+    records, result = _run_one(ledger_file, material, "T1", ClientProfile())
     assert result.error is None
     assert result.accepted is True
     assert [r.outcome for r in records] == ["vulnerable"]
 
 
-def test_engine_t3_records_vulnerable_flow(material):
+def test_engine_t3_records_vulnerable_flow(material, ledger_file):
     records, _ = _run_one(
-        material, "T3", ClientProfile(trust_behavior="T1", hostname_behavior="H1")
+        ledger_file, material, "T3", ClientProfile(trust_behavior="T1", hostname_behavior="H1")
     )
     assert records[0].outcome == "vulnerable"
 
@@ -196,12 +201,13 @@ def _count_context_loads(monkeypatch) -> list[str]:
     return loads
 
 
-def test_t2_engine_builds_one_context_for_every_host(monkeypatch):
+def test_t2_engine_builds_one_context_for_every_host(monkeypatch, ledger_file):
     """T2 serves the same leaf whatever the host, so it needs one SSLContext."""
     material = MitmMaterial.generate()  # the session fixture keeps its contexts
     loads = _count_context_loads(monkeypatch)
     profile = ClientProfile(trust_behavior="T1", hostname_behavior="H1")
-    ledger = FlowLedger()
+    path, read = ledger_file
+    ledger = FlowLedger(path)
     with MitmEngine(material, "T2", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
         for fqdn in ("a.example.com", "b.example.com"):
             perform_flow(
@@ -212,18 +218,19 @@ def test_t2_engine_builds_one_context_for_every_host(monkeypatch):
                 material.config.now,
             )
     assert len(loads) == 1
-    assert [r.outcome for r in ledger.records()] == ["vulnerable", "vulnerable"]
+    assert [r.outcome for r in read()] == ["vulnerable", "vulnerable"]
 
 
-def test_engines_share_the_context_of_a_leaf(monkeypatch):
+def test_engines_share_the_context_of_a_leaf(monkeypatch, ledger_file):
     """The T1-T3 engines of a scan all serve a skipped host's legitimate leaf
     from one SSLContext, loaded once."""
     material = MitmMaterial.generate()
     loads = _count_context_loads(monkeypatch)
     app = _one_screen_app("com.test.app", "svc.example.com", ClientProfile())
+    path, read = ledger_file
     outcomes = []
     for test in TESTS:
-        ledger = FlowLedger()
+        ledger = FlowLedger(path)
         # Tested once before, so the once-per-host policy skips the host.
         ledger.record_flow(
             app_id="com.test.app", fqdn="svc.example.com", ts_wall="", test_applied=test, outcome="secure"
@@ -237,12 +244,12 @@ def test_engines_share_the_context_of_a_leaf(monkeypatch):
                 material.config.now,
             )
         assert result.error is None
-        outcomes.append(ledger.records()[-1].outcome)
+        outcomes.append(read()[-1].outcome)
     assert outcomes == ["skipped"] * 3
     assert len(loads) == 1
 
 
-def test_engine_issues_no_session_ticket(material, monkeypatch):
+def test_engine_issues_no_session_ticket(material, monkeypatch, ledger_file):
     """No client resumes a session, so the engine makes and sends no ticket."""
     sessions = []
 
@@ -257,7 +264,7 @@ def test_engine_issues_no_session_ticket(material, monkeypatch):
     ctx.sslsocket_class = RecordingSocket
     monkeypatch.setattr(appsim, "_client_context", lambda: ctx)
     records, result = _run_one(
-        material, "T1", ClientProfile(trust_behavior="T1", hostname_behavior="H1")
+        ledger_file, material, "T1", ClientProfile(trust_behavior="T1", hostname_behavior="H1")
     )
     assert result.accepted is True
     assert [r.outcome for r in records] == ["vulnerable"]
@@ -299,11 +306,12 @@ def test_stop_returns_at_once_without_clients(material):
         (ClientProfile(), "secure"),
     ],
 )
-def test_stop_waits_for_every_flow_record(material, profile, outcome):
+def test_stop_waits_for_every_flow_record(material, profile, outcome, ledger_file):
     """Flows a client finished right before stop() are all in the ledger, in order."""
     fqdns = [f"svc{i}.example.com" for i in range(8)]
     app = _one_screen_app("com.test.app", fqdns[0], profile)
-    ledger = FlowLedger()
+    path, read = ledger_file
+    ledger = FlowLedger(path)
     with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
         for fqdn in fqdns:
             perform_flow(
@@ -313,7 +321,7 @@ def test_stop_waits_for_every_flow_record(material, profile, outcome):
                 material.client_store,
                 material.config.now,
             )
-    records = ledger.records()
+    records = read()
     assert [r.fqdn for r in records] == fqdns
     assert {r.outcome for r in records} == {outcome}
 
@@ -391,9 +399,10 @@ def _after_reply(address, app_id) -> socket.socket:
     ids=["oversized", "not-json", "not-an-object", "fqdn-not-a-string", "unknown-channel",
          "empty-label", "non-ascii-host", "wildcard-host"],
 )
-def test_malformed_preamble_is_dropped_and_logged(material, caplog, preamble, problem):
+def test_malformed_preamble_is_dropped_and_logged(material, caplog, preamble, problem, ledger_file):
     """A bad preamble gets no reply and no record, one warning and no traceback."""
-    ledger = FlowLedger()
+    path, read = ledger_file
+    ledger = FlowLedger(path)
     app = _one_screen_app("com.test.app", "svc.example.com", ClientProfile())
     with caplog.at_level(logging.WARNING, logger="mitmscan.engine"):
         with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
@@ -412,7 +421,7 @@ def test_malformed_preamble_is_dropped_and_logged(material, caplog, preamble, pr
                 material.config.now,
             )
     assert result.accepted is False
-    assert [r.outcome for r in ledger.records()] == ["secure"]
+    assert [r.outcome for r in read()] == ["secure"]
     warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(warnings) == 1
     assert warnings[0].startswith("dropping connection: preamble ")
@@ -421,11 +430,12 @@ def test_malformed_preamble_is_dropped_and_logged(material, caplog, preamble, pr
 
 
 @pytest.mark.parametrize("test", ["T1", "T3"])
-def test_mixed_case_host_is_forged_for_the_name_the_ledger_records(material, test):
+def test_mixed_case_host_is_forged_for_the_name_the_ledger_records(material, test, ledger_file):
     app = _one_screen_app(
         "com.test.app", "API.Example.com", ClientProfile(trust_behavior="T1", hostname_behavior="H1")
     )
-    ledger = FlowLedger()
+    path, read = ledger_file
+    ledger = FlowLedger(path)
     with MitmEngine(material, test, POLICY_ALWAYS, ledger, grace_seconds=0.3) as engine:
         result = perform_flow(
             app,
@@ -435,14 +445,15 @@ def test_mixed_case_host_is_forged_for_the_name_the_ledger_records(material, tes
             material.config.now,
         )
     assert result.error is None
-    assert [(r.fqdn, r.outcome) for r in ledger.records()] == [("api.example.com", "vulnerable")]
+    assert [(r.fqdn, r.outcome) for r in read()] == [("api.example.com", "vulnerable")]
 
 
-def test_hostile_clients_hold_up_no_honest_flow(material):
+def test_hostile_clients_hold_up_no_honest_flow(material, ledger_file):
     """Clients that idle, send garbage or reset delay no flow that starts after them."""
     profile = ClientProfile(trust_behavior="T1", hostname_behavior="H1")
     honest = _one_screen_app("com.test.honest", "svc.example.com", profile)
-    ledger = FlowLedger()
+    path, read = ledger_file
+    ledger = FlowLedger(path)
     with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=1.0) as engine:
         with _after_reply(engine.address, "com.test.reset") as reset:
             reset.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
@@ -468,7 +479,7 @@ def test_hostile_clients_hold_up_no_honest_flow(material):
                 sock.close()
     assert result.accepted is True
     assert elapsed < 0.1
-    records = ledger.records()
+    records = read()
     assert [r.outcome for r in records if r.app_id == honest.app_id] == ["vulnerable"]
     app_ids = [r.app_id for r in records]
     assert len(app_ids) == len(set(app_ids))
@@ -487,9 +498,10 @@ def test_hostile_clients_hold_up_no_honest_flow(material):
     ],
     ids=["reject-once", "accept-until-vulnerable"],
 )
-def test_next_flow_decides_on_the_flow_before(material, policy, profile, first):
+def test_next_flow_decides_on_the_flow_before(material, policy, profile, first, ledger_file):
     """A sequential client's second flow to a host is skipped on its first's outcome."""
-    ledger = FlowLedger()
+    path, read = ledger_file
+    ledger = FlowLedger(path)
     apps = [_one_screen_app(f"com.test.app{i}", "svc.example.com", profile) for i in range(100)]
     with MitmEngine(material, "T1", policy, ledger, grace_seconds=0.3) as engine:
         for app in apps:
@@ -501,7 +513,7 @@ def test_next_flow_decides_on_the_flow_before(material, policy, profile, first):
                     material.client_store,
                     material.config.now,
                 )
-    assert [(r.app_id, r.channel, r.outcome) for r in ledger.records()] == [
+    assert [(r.app_id, r.channel, r.outcome) for r in read()] == [
         (app.app_id, channel, outcome)
         for app in apps
         for channel, outcome in zip(CHANNELS, (first, "skipped"))
@@ -544,4 +556,5 @@ def test_concurrent_flows_land_once_each_in_file_order(material, tmp_path):
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [line["ts_mono"] for line in lines] == list(range(8))
     assert sorted(line["app_id"] for line in lines) == sorted(app.app_id for app in apps)
-    assert read_ledger(path) == ledger.records()
+    outcomes = {r.app_id: r.outcome for r in read_ledger(path)}
+    assert [outcomes[app.app_id] for app in apps] == ["vulnerable", "secure"] * 4

@@ -9,6 +9,7 @@ from mitmscan.metrics import (
     cdf,
     coverage_rates,
     detection_rates,
+    entities,
     prevalence,
     write_cdf_csv,
 )
@@ -68,6 +69,18 @@ def test_prevalence_dedups_hosts():
     # app hits same fqdn three times, vulnerable once
     rows = [("app", "a.com", "vulnerable"), ("app", "a.com", "secure"), ("app", "a.com", "secure")]
     assert prevalence(flows(rows))["per_app_ratio"]["values"] == [1.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from("xy")), max_size=30))
+def test_entities_match_brute_force(pairs):
+    counts = entities(flows([(f"app.{a}", f"{h}.example.com", "secure") for a, h in pairs]))
+    assert counts == {
+        "apps": len({a for a, _ in pairs}),
+        "flows": len(pairs),
+        "fqdns": len({h for _, h in pairs}),
+        "app_fqdns": len(set(pairs)),
+    }
 
 
 @settings(max_examples=50, deadline=None)
