@@ -163,11 +163,7 @@ def make_root(name: str, config: CertConfig | None = None) -> RootAuthority:
     if not name:
         raise CertSetupError("root authority name must be non-empty")
     config = config or CertConfig()
-    try:
-        key = _derive_key(config, f"root:{name}")
-    except Exception as exc:  # pragma: no cover - keygen failure is environmental
-        raise CertSetupError(f"key generation failed for root {name!r}: {exc}") from exc
-
+    key = _derive_key(config, f"root:{name}")
     usage = x509.KeyUsage(
         digital_signature=True,
         key_cert_sign=True,
@@ -214,12 +210,7 @@ def issue_leaf(
 def verify_signature(cert: x509.Certificate, issuer_cert: x509.Certificate) -> bool:
     try:
         issuer_key = issuer_cert.public_key()
-        if cert.signature_hash_algorithm is None:
-            issuer_key.verify(cert.signature, cert.tbs_certificate_bytes)
-        else:  # pragma: no cover - all material here is Ed25519
-            issuer_key.verify(
-                cert.signature, cert.tbs_certificate_bytes, cert.signature_hash_algorithm
-            )
+        issuer_key.verify(cert.signature, cert.tbs_certificate_bytes)
         return True
     except InvalidSignature:
         return False

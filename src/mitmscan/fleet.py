@@ -10,7 +10,13 @@ from .appsim import Action, FlowSpec, Screen, SyntheticApp
 from .certforge import fingerprint
 from .engine import MitmMaterial, forge_for, legit_for
 from .flowledger import TESTS
-from .profiles import ClientProfile, client_accepts
+from .profiles import (
+    HOSTNAME_BEHAVIORS,
+    TRUST_BEHAVIORS,
+    WEBVIEW_BEHAVIORS,
+    ClientProfile,
+    client_accepts,
+)
 
 
 def _app(app_id: str, fqdns: list[str], profile: ClientProfile) -> SyntheticApp:
@@ -30,130 +36,45 @@ def _app(app_id: str, fqdns: list[str], profile: ClientProfile) -> SyntheticApp:
 
 
 def demo_fleet(material: MitmMaterial) -> list[SyntheticApp]:
-    """Twenty apps: four secure baselines plus one app per flawed behavior.
+    """Twenty apps: four secure baselines, one app per flawed behavior code, two pinning apps.
 
+    The flawed app for code ``C`` is ``com.fleet.<c>`` on host ``<c>.example.com``.
     Trust-flaw apps carry a permissive hostname verifier so the trust decision
     alone drives the outcome; hostname-flaw and webview-flaw apps keep correct
     platform trust. Pinning apps are otherwise fully secure.
     """
-    pin_leaf_fp = fingerprint(legit_for("pinleaf.example.com", material).cert)
-    pin_root_fp = material.lab_trusted_root.fingerprint
-
     secure = ClientProfile()
     apps = [
         _app("com.fleet.secure1", ["secure1.example.com"], secure),
         _app("com.fleet.secure2", ["api.secure2.example.com"], secure),
         _app("com.fleet.secure3", ["secure3.example.com", "cdn.secure3.example.com"], secure),
         _app("com.fleet.secure4", ["secure4.example.org"], secure),
-        _app(
-            "com.fleet.t1",
-            ["t1.example.com"],
-            ClientProfile(trust_behavior="T1", hostname_behavior="H1"),
-        ),
-        _app(
-            "com.fleet.t2a",
-            ["t2a.example.com"],
-            ClientProfile(trust_behavior="T2A", hostname_behavior="H1"),
-        ),
-        _app(
-            "com.fleet.t2b",
-            ["t2b.example.com"],
-            ClientProfile(trust_behavior="T2B", hostname_behavior="H1"),
-        ),
-        _app(
-            "com.fleet.t2c",
-            ["t2c.example.com"],
-            ClientProfile(
-                trust_behavior="T2C",
-                hostname_behavior="H1",
-                condition_params={"expected_subject": "t2c.example.com"},
-            ),
-        ),
-        _app(
-            "com.fleet.t2d",
-            ["t2d.example.com"],
-            ClientProfile(trust_behavior="T2D", hostname_behavior="H1"),
-        ),
-        _app(
-            "com.fleet.t2e",
-            ["t2e.example.com"],
-            ClientProfile(trust_behavior="T2E", hostname_behavior="H1"),
-        ),
-        _app(
-            "com.fleet.t2f",
-            ["t2f.example.com"],
-            ClientProfile(
-                trust_behavior="T2F",
-                hostname_behavior="H1",
-                condition_params={"trusted_issuers": ["attacker-untrusted"]},
-            ),
-        ),
-        _app(
-            "com.fleet.h1",
-            ["h1.example.com"],
-            ClientProfile(hostname_behavior="H1"),
-        ),
-        _app(
-            "com.fleet.h2a",
-            ["h2a.example.com"],
-            ClientProfile(
-                hostname_behavior="H2A",
-                condition_params={"hostname_allowlist": ["h2a.example.com"]},
-            ),
-        ),
-        _app(
-            "com.fleet.h2b",
-            ["h2b.example.com"],
-            ClientProfile(
-                hostname_behavior="H2B",
-                condition_params={"match_mode": "substring"},
-            ),
-        ),
-        _app(
-            "com.fleet.w1",
-            ["w1.example.com"],
-            ClientProfile(webview_behavior="W1"),
-        ),
-        _app(
-            "com.fleet.w2a",
-            ["w2a.example.com"],
-            ClientProfile(
-                webview_behavior="W2A",
-                condition_params={"user_accepts": True},
-            ),
-        ),
-        _app(
-            "com.fleet.w2b",
-            ["w2b.example.com"],
-            ClientProfile(
-                webview_behavior="W2B",
-                condition_params={"ignored_error_codes": [3, 5]},
-            ),
-        ),
-        _app(
-            "com.fleet.w2c",
-            ["w2c.example.com"],
-            ClientProfile(
-                webview_behavior="W2C",
-                condition_params={"insecure_state": True},
-            ),
-        ),
-        _app(
-            "com.fleet.pinleaf",
-            ["pinleaf.example.com"],
-            ClientProfile(
-                pinning="pin_leaf",
-                condition_params={"pinned_fingerprints": [pin_leaf_fp]},
-            ),
-        ),
-        _app(
-            "com.fleet.pinroot",
-            ["pinroot.example.com"],
-            ClientProfile(
-                pinning="pin_root",
-                condition_params={"pinned_fingerprints": [pin_root_fp]},
-            ),
-        ),
+    ]
+    for field, codes in (("trust_behavior", TRUST_BEHAVIORS),
+                         ("hostname_behavior", HOSTNAME_BEHAVIORS),
+                         ("webview_behavior", WEBVIEW_BEHAVIORS)):
+        for code in codes[1:]:  # each family's first code is its secure one
+            host = f"{code.lower()}.example.com"
+            params = {
+                "T2C": {"expected_subject": host},
+                "T2F": {"trusted_issuers": ["attacker-untrusted"]},
+                "H2A": {"hostname_allowlist": [host]},
+                "H2B": {"match_mode": "substring"},
+                "W2A": {"user_accepts": True},
+                "W2B": {"ignored_error_codes": [3, 5]},
+                "W2C": {"insecure_state": True},
+            }.get(code, {})
+            hostname = "H1" if field == "trust_behavior" else "H0"
+            profile = ClientProfile(**{"hostname_behavior": hostname, field: code},
+                                    condition_params=params)
+            apps.append(_app(f"com.fleet.{code.lower()}", [host], profile))
+    pin_leaf_fp = fingerprint(legit_for("pinleaf.example.com", material).cert)
+    pin_root_fp = material.lab_trusted_root.fingerprint
+    apps += [
+        _app("com.fleet.pinleaf", ["pinleaf.example.com"], ClientProfile(
+            pinning="pin_leaf", condition_params={"pinned_fingerprints": [pin_leaf_fp]})),
+        _app("com.fleet.pinroot", ["pinroot.example.com"], ClientProfile(
+            pinning="pin_root", condition_params={"pinned_fingerprints": [pin_root_fp]})),
     ]
     return apps
 
@@ -195,12 +116,15 @@ def save_fleet(apps: list[SyntheticApp], path: str | Path) -> None:
 
 
 def load_fleet(path: str | Path) -> list[SyntheticApp]:
-    apps = []
+    apps, app_ids = [], set()
     for entry in json.loads(Path(path).read_text()):
         if not (isinstance(entry, dict) and isinstance(entry.get("app_id"), str)
                 and isinstance(entry.get("fqdns"), list)
                 and all(isinstance(fqdn, str) for fqdn in entry["fqdns"])):
             raise ValueError("a fleet entry needs a string app_id and a list of string fqdns")
+        if entry["app_id"] in app_ids:
+            raise ValueError(f"app_id {entry['app_id']!r} is named twice")
+        app_ids.add(entry["app_id"])
         apps.append(
             _app(entry["app_id"], entry["fqdns"], ClientProfile.from_dict(entry["profile"]))
         )

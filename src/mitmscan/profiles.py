@@ -42,6 +42,23 @@ PARAM_KEYS = {
     "W2C": "insecure_state",
 }
 
+
+def _list_of(kind: type):
+    return lambda value: isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
+# What each known condition_params key must hold.
+PARAM_TYPES = {
+    "hostname_allowlist": _list_of(str),
+    "trusted_issuers": _list_of(str),
+    "pinned_fingerprints": _list_of(str),
+    "ignored_error_codes": _list_of(int),
+    "match_mode": lambda value: value in ("suffix", "substring"),
+    "insecure_state": lambda value: isinstance(value, bool),
+    "user_accepts": lambda value: isinstance(value, bool),
+    "expected_subject": lambda value: isinstance(value, str),
+}
+
 # SSL error codes surfaced to webview-channel profiles, mirroring the Android
 # SslError constants: 3 = untrusted authority, 2 = hostname mismatch.
 ERROR_UNTRUSTED = 3
@@ -65,6 +82,14 @@ class ClientProfile:
             raise ValueError(f"bad webview_behavior: {self.webview_behavior}")
         if self.pinning not in PINNING_MODES:
             raise ValueError(f"bad pinning: {self.pinning}")
+        if not isinstance(self.condition_params, dict):
+            raise ValueError("condition_params must be a dict")
+        bad = sorted(
+            key for key, value in self.condition_params.items()
+            if key in PARAM_TYPES and not PARAM_TYPES[key](value)
+        )
+        if bad:
+            raise ValueError(f"condition_params of the wrong type: {bad}")
         behaviors = {self.trust_behavior, self.hostname_behavior, self.webview_behavior}
         missing = {
             b for b in behaviors & PARAM_KEYS.keys() if PARAM_KEYS[b] not in self.condition_params

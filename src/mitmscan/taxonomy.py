@@ -83,37 +83,19 @@ def validate_labels(labels: set[str], interface_kind: str) -> None:
 def repair_labels(labels: list[str], interface_kind: str) -> set[str]:
     """Deterministically coerce a raw label list into a valid set.
 
-    Keeps the first-listed label on every conflict and logs what was dropped.
-    Unknown or out-of-family labels are discarded; an empty result maps to the
-    family's unknown label.
+    Keeps, in input order, each label that :func:`validate_labels` accepts
+    together with the labels already kept, and logs why each other label was
+    dropped. An empty result maps to the family's unknown label.
     """
-    family = FAMILY_BY_KIND.get(interface_kind)
-    if family is None:
+    unknown = UNKNOWN_BY_KIND.get(interface_kind)
+    if unknown is None:
         raise LabelError(f"unknown interface kind: {interface_kind}")
-    kept: list[str] = []
+    kept: set[str] = set()
     for label in labels:
-        if label not in family:
-            log.info("dropping out-of-family label %r for %s", label, interface_kind)
+        try:
+            validate_labels(kept | {label}, interface_kind)
+        except LabelError as exc:
+            log.info("dropping %r: %s", label, exc)
             continue
-        if label in kept:
-            continue
-        if kept and (label in SECURE_LABELS or label in UNKNOWN_LABELS):
-            log.info("dropping %r: secure/unknown must stand alone", label)
-            continue
-        if kept and (kept[0] in SECURE_LABELS or kept[0] in UNKNOWN_LABELS):
-            log.info("dropping %r after standalone %r", label, kept[0])
-            continue
-        if label in EXCLUSIVE_TRUST_FLAWS and any(
-            k in EXCLUSIVE_TRUST_FLAWS for k in kept
-        ):
-            log.info("dropping %r: conflicts with earlier exclusive flaw", label)
-            continue
-        if len(kept) >= MAX_LABELS:
-            log.info("dropping %r: label budget reached", label)
-            continue
-        kept.append(label)
-    if not kept:
-        kept = [UNKNOWN_BY_KIND[interface_kind]]
-    result = set(kept)
-    validate_labels(result, interface_kind)
-    return result
+        kept.add(label)
+    return kept or {unknown}

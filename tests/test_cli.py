@@ -113,17 +113,35 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{oops")
     # a bad --fleet is refused before --out is made: an app with no host, a
-    # host that the engine would drop, hosts that are no list of names, or an
-    # app id that is no string
+    # host that the engine would drop, hosts that are no list of names, an
+    # app id that is no string, condition_params of the wrong type, or one
+    # app id named twice
+    def entry(**fields):
+        return {"app_id": "com.bad.app", "fqdns": ["a.example.com"],
+                "profile": ClientProfile().as_dict(), **fields}
+
+    def profile(**fields):
+        return {**ClientProfile().as_dict(), **fields}
+
     bad_fleets = []
-    for name, fields in [("no_hosts", {"fqdns": []}),
-                         ("bad_host", {"fqdns": ["bad_host.example"]}),
-                         ("wildcard", {"fqdns": ["*.wild.example"]}),
-                         ("hosts_str", {"fqdns": "abc"}),
-                         ("app_id_int", {"app_id": 5})]:
+    for name, entries in [
+        ("no_hosts", [entry(fqdns=[])]),
+        ("bad_host", [entry(fqdns=["bad_host.example"])]),
+        ("wildcard", [entry(fqdns=["*.wild.example"])]),
+        ("hosts_str", [entry(fqdns="abc")]),
+        ("app_id_int", [entry(app_id=5)]),
+        ("params_list", [entry(profile=profile(
+            trust_behavior="T2C", hostname_behavior="H1", condition_params=[]))]),
+        ("error_codes_int", [entry(profile=profile(
+            webview_behavior="W2B", condition_params={"ignored_error_codes": 3}))]),
+        ("allowlist_str", [entry(profile=profile(
+            hostname_behavior="H2A", condition_params={"hostname_allowlist": "a.example.com"}))]),
+        ("app_id_twice", [entry(app_id="x", fqdns=["a.example.com"]),
+                          entry(app_id="x", fqdns=["b.example.com"], profile=profile(
+                              trust_behavior="T1", hostname_behavior="H1"))]),
+    ]:
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps([{"app_id": "com.bad.app", "fqdns": ["a.example.com"],
-                                     "profile": ClientProfile().as_dict(), **fields}]))
+        path.write_text(json.dumps(entries))
         bad_fleets.append(path)
     for fleet in (tmp_path / "missing_fleet.json", notjson, *bad_fleets):
         out = tmp_path / f"out_{fleet.stem}"

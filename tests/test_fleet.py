@@ -1,0 +1,32 @@
+from mitmscan.fleet import demo_fleet, expected_truth_table
+from mitmscan.profiles import HOSTNAME_BEHAVIORS, TRUST_BEHAVIORS, WEBVIEW_BEHAVIORS, ClientProfile
+
+FLAWED = [code for family in (TRUST_BEHAVIORS, HOSTNAME_BEHAVIORS, WEBVIEW_BEHAVIORS)
+          for code in family[1:]]
+
+
+def test_demo_fleet_has_one_app_per_flawed_behavior_code(material):
+    apps = demo_fleet(material)
+    assert [app.app_id for app in apps] == (
+        [f"com.fleet.secure{i}" for i in range(1, 5)]
+        + [f"com.fleet.{code.lower()}" for code in FLAWED]
+        + ["com.fleet.pinleaf", "com.fleet.pinroot"]
+    )
+    secure, flawed, pinning = apps[:4], apps[4:-2], apps[-2:]
+    assert all(app.profile == ClientProfile() for app in secure)
+    for app, code in zip(flawed, FLAWED):
+        profile = app.profile
+        assert app.fqdns() == [f"{code.lower()}.example.com"]
+        # a trust flaw sits behind an H1 verifier; every other code is the one flaw
+        expected = {"T": (code, "H1", "W0"), "H": ("T0", code, "W0"), "W": ("T0", "H0", code)}
+        assert (profile.trust_behavior, profile.hostname_behavior,
+                profile.webview_behavior) == expected[code[0]], code
+        assert profile.pinning == "none"
+    assert [app.profile.pinning for app in pinning] == ["pin_leaf", "pin_root"]
+    assert all(app.profile.as_dict() == {**ClientProfile().as_dict(), "pinning": app.profile.pinning,
+                                         "condition_params": app.profile.condition_params}
+               for app in pinning)
+    # under the forged chains of T1 and T2 only a flawed app can be vulnerable
+    table = expected_truth_table(apps, material)
+    assert not {app_id for (app_id, _, test, _), outcome in table.items()
+                if outcome == "vulnerable" and test != "T3"} - {app.app_id for app in flawed}

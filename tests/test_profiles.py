@@ -42,6 +42,23 @@ def test_profile_validation():
     assert ClientProfile.from_dict(p.as_dict()) == p
 
 
+@pytest.mark.parametrize("params", [
+    [],
+    {"hostname_allowlist": "a.example.com"},
+    {"trusted_issuers": [1]},
+    {"pinned_fingerprints": None},
+    {"ignored_error_codes": 3},
+    {"ignored_error_codes": ["3"]},
+    {"match_mode": "prefix"},
+    {"insecure_state": 1},
+    {"user_accepts": "yes"},
+    {"expected_subject": ["a.example.com"]},
+])
+def test_condition_params_of_the_wrong_type_are_refused(params):
+    with pytest.raises(ValueError):
+        ClientProfile(condition_params=params)
+
+
 def test_trust_predicates():
     t0 = ClientProfile()
     assert trust_accepts(t0, GOOD_CHAIN, STORE, NOW)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mitmscan.classifier import Snippet, build_prompt, evaluate
 from mitmscan.profiles import HOSTNAME_BEHAVIORS, PARAM_KEYS, TRUST_BEHAVIORS, WEBVIEW_BEHAVIORS
@@ -7,6 +9,7 @@ from mitmscan.taxonomy import (
     FOCUS_METHODS,
     SECURE_LABELS,
     TAXONOMY,
+    UNKNOWN_BY_KIND,
     UNKNOWN_LABELS,
     LabelError,
     repair_labels,
@@ -75,6 +78,26 @@ def test_repair_empty_maps_to_unknown():
     assert repair_labels([], "trust_manager") == {"TU"}
     assert repair_labels(["T1"], "hostname_verifier") == {"HU"}
     assert repair_labels(["bogus"], "webview_client") == {"WU"}
+
+
+@given(
+    st.sampled_from(sorted(TAXONOMY)),
+    st.lists(st.sampled_from(sorted(set().union(*FAMILY_BY_KIND.values()) | {"bogus"})),
+             max_size=6),
+)
+def test_repair_keeps_each_label_validate_accepts(kind, labels):
+    result = repair_labels(labels, kind)
+    validate_labels(result, kind)
+    family = set(FAMILY_BY_KIND[kind])
+    if family & set(labels):
+        assert result <= set(labels)
+    else:
+        assert result == {UNKNOWN_BY_KIND[kind]}
+    for i, label in enumerate(labels):
+        if label in family and label not in result:
+            kept_before = {l for l in labels[:i] if l in result}
+            with pytest.raises(LabelError):
+                validate_labels(kept_before | {label}, kind)
 
 
 def test_each_family_lists_secure_first_and_unknown_last():
