@@ -251,7 +251,7 @@ def perform_flow(
     except OSError as exc:
         return FlowResult(spec.fqdn, spec.channel, "MITM", None, f"connect: {exc}")
     try:
-        # Finished and the request go out back to back; see Listener._accept_loop.
+        # Finished and the request go out back to back; see Listener._work.
         raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         preamble = {"app_id": app.app_id, "fqdn": spec.fqdn, "channel": spec.channel}
         raw.sendall(json.dumps(preamble).encode() + b"\n")

@@ -19,6 +19,7 @@ a handshake or a wait: one idle or broken client holds up no other.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
 import logging
@@ -128,9 +129,13 @@ def _read_preamble(sock: socket.socket) -> tuple[str, str, str] | None:
     """The preamble's (app id, normalized host, channel), or None to drop the flow.
 
     The host is normalized here, so a leaf is forged for the name the ledger
-    records.
+    records. Bytes past the newline, such as a ClientHello sent with it, stay unread.
     """
-    line = sock.makefile("rb").readline(MAX_PREAMBLE_BYTES)
+    line = b""
+    while len(line) < MAX_PREAMBLE_BYTES and not line.endswith(b"\n"):
+        if not (peeked := sock.recv(MAX_PREAMBLE_BYTES - len(line), socket.MSG_PEEK)):
+            break
+        line += sock.recv(peeked.find(b"\n") + 1 or len(peeked))
     if not line:
         return None
     if not line.endswith(b"\n"):
@@ -155,87 +160,98 @@ def _read_preamble(sock: socket.socket) -> tuple[str, str, str] | None:
 
 
 class Listener:
-    """A TCP listener on a free port of 127.0.0.1: one handler thread per connection.
+    """A TCP listener on a free port of 127.0.0.1, served by workers that live until ``stop()``.
 
-    ``stop()`` shuts the listening socket down, which wakes the blocked
-    ``accept()`` at once, then joins the accept thread and every handler
-    still running, so whatever a handler was doing when its client returned
-    has finished when ``stop()`` returns. Each accepted connection gets
-    ``timeout``, which bounds every socket wait of its handler.
+    A worker blocks in ``accept()``, serves the connection it takes, drops it
+    and accepts again. One that takes a connection while no other waits in
+    ``accept()`` starts one first, after up to 5 ms for a busy worker to come
+    back: no client holds up a new connection, and a sequential client is
+    served by two workers. ``stop()`` shuts the socket down, which wakes every
+    ``accept()``, and joins every worker. Each connection gets ``timeout``,
+    which bounds every socket wait of its handler.
     """
 
     def __init__(self, handle, timeout: float):
         self._handle = handle
         self._timeout = timeout
         self._sock = socket.create_server(("127.0.0.1", 0))
-        self._handlers: set[threading.Thread] = set()
-        self._lock = threading.Lock()
-        self._stopping = threading.Event()
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._lock = threading.Condition(threading.Lock())
+        self._workers: list[threading.Thread] = []
+        self._waiting = 0  # workers not serving a connection
+        self._stopping = False
 
     @property
     def address(self) -> tuple[str, int]:
         return self._sock.getsockname()[:2]
 
     def start(self) -> tuple[str, int]:
-        self._thread.start()
+        with self._lock:
+            self._spawn()
         return self.address
 
     def stop(self) -> None:
-        self._stopping.set()
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass  # some platforms refuse shutdown() on a listening socket
-        self._sock.close()
-        self._thread.join()
         with self._lock:
-            handlers = list(self._handlers)
-        for thread in handlers:
-            thread.join()
+            self._stopping = True  # from here on no worker starts, so none joins the list
+        with contextlib.suppress(OSError):  # some platforms refuse it on a listening socket
+            self._sock.shutdown(socket.SHUT_RDWR)
+        self._sock.close()
+        for worker in self._workers:
+            worker.join()
 
-    def _accept_loop(self) -> None:
+    def _spawn(self) -> None:
+        """Start a worker, counted as waiting in ``accept()``; the caller holds the lock."""
+        if not self._stopping:
+            worker = threading.Thread(target=self._work, daemon=True)
+            worker.start()
+            self._workers.append(worker)
+            self._waiting += 1
+
+    def _work(self) -> None:
         while True:
             try:
                 conn, _ = self._sock.accept()
             except OSError:
-                if self._stopping.is_set():
+                if self._stopping:
                     return
                 # Linux reports some network errors of a pending connection here.
                 log.warning("accept failed", exc_info=True)
                 continue
-            conn.settimeout(self._timeout)
-            # Small writes go out at once: without this, Nagle holds a reply
-            # until a delayed ACK, about 40 ms, arrives for the last one.
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
             with self._lock:
-                self._handlers.add(thread)
-            thread.start()
+                self._waiting -= 1
+                # A client sees its flow end before the worker of that flow is back.
+                if len(self._workers) > 1:
+                    self._lock.wait_for(lambda: self._waiting, 0.005)
+                if not self._waiting:
+                    try:
+                        self._spawn()
+                    except RuntimeError:
+                        log.warning("could not start a listener worker", exc_info=True)
+            try:
+                conn.settimeout(self._timeout)
+                # Small writes go out at once: without this, Nagle holds a reply
+                # until a delayed ACK, about 40 ms, arrives for the last one.
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self._handle(conn)
+            except Exception as exc:
+                log.warning("connection handler error: %s", exc, exc_info=True)
+            finally:
+                with self._lock:
+                    self._waiting += 1
+                    self._lock.notify()
+                conn.close()
             # Hold nothing of this connection while blocked in the next accept().
-            del conn, thread
-
-    def _serve(self, conn: socket.socket) -> None:
-        try:
-            self._handle(conn)
-        except Exception as exc:
-            log.warning("connection handler error: %s", exc, exc_info=True)
-        finally:
-            conn.close()
-            with self._lock:
-                self._handlers.discard(threading.current_thread())
+            del conn
 
 
 class MitmEngine:
     """One engine instance runs one MitM test kind against incoming flows.
 
     A flow is in the ledger when its client sees it end: the echo of its
-    request, or the engine closing the connection. ``stop()`` returns as
-    soon as no connection is in flight. It waits for every handler still
-    running, so the flows of clients that left without waiting for the end
-    are in the ledger when it returns too. Each wait is bounded by the
-    connection timeout, ``max(4 x grace, 5 s)``, which every socket
-    operation of a handler gets.
+    request, or the engine closing the connection. ``stop()`` wakes every
+    idle listener worker at once and waits for each one still serving a
+    connection, so the flows of clients that left without waiting for the end
+    are in the ledger when it returns too. Each socket operation of a worker
+    is bounded by the connection timeout, ``max(4 x grace, 5 s)``.
     """
 
     def __init__(

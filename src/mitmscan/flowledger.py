@@ -76,6 +76,17 @@ class FlowRecord:
         return json.dumps(vars(self), sort_keys=True)
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def parse_json_line(line: str):
+    """``json.loads(line)``, one pass over JSON's whitespace (str.strip() also takes "\\x0c")."""
+    value, end = _raw_decode(text := line.strip(" \t\n\r"))
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return value
+
+
 def read_ledger(path: str | Path) -> list[FlowRecord]:
     """The records of the ledger file at ``path``, which is only read.
 
@@ -87,11 +98,11 @@ def read_ledger(path: str | Path) -> list[FlowRecord]:
     lines = text.splitlines()
     if lines and not text.endswith("\n"):
         try:
-            json.loads(lines[-1])
+            parse_json_line(lines[-1])
         except ValueError:
             log.warning("%s: leaving out a torn last line of %d bytes", path, len(lines[-1]))
             lines.pop()
-    records = [FlowRecord(**json.loads(line)) for line in lines if line.strip()]
+    records = [FlowRecord(**parse_json_line(line)) for line in lines if line.strip()]
     seen: set[tuple[str, str, int]] = set()
     for record in records:
         if record.identity in seen:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .flowledger import FlowRecord, normalize_fqdn
+from .flowledger import FlowRecord, normalize_fqdn, parse_json_line
 from .taxonomy import INTERFACE_KINDS
 
 
@@ -68,7 +68,7 @@ class Attribution:
 
 def load_events(path: str | Path) -> list[ValidationEvent]:
     lines = Path(path).read_text().splitlines()
-    return [ValidationEvent(**json.loads(line)) for line in lines if line.strip()]
+    return [ValidationEvent(**parse_json_line(line)) for line in lines if line.strip()]
 
 
 def save_events(events: list[ValidationEvent], path: str | Path) -> None:

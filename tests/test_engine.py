@@ -327,29 +327,34 @@ def test_stop_waits_for_every_flow_record(material, profile, outcome, ledger_fil
 
 
 def test_listener_stop_waits_for_handlers_in_flight():
-    started, finished = threading.Event(), []
+    started, finished, workers = threading.Event(), [], []
 
     def handle(conn):
+        workers.append(threading.current_thread())
         conn.recv(1)
         started.set()
         time.sleep(0.1)
         finished.append(conn)
 
+    before = set(threading.enumerate())
     listener = Listener(handle, timeout=5.0)
     with socket.create_connection(listener.start(), timeout=5) as sock:
         sock.sendall(b"x")
         assert started.wait(timeout=5)
         listener.stop()
         assert len(finished) == 1
-        assert not listener._handlers
+        assert not any(worker.is_alive() for worker in workers)
+        assert set(threading.enumerate()) <= before  # no listener thread is left
 
 
 def test_listener_keeps_no_connection_after_its_handler_ends():
-    refs = []
+    """A worker back in accept() holds nothing of the connection it served."""
+    refs, finished = [], []
 
     def handle(conn):
         refs.append(weakref.ref(conn))
         conn.recv(1)
+        finished.append(True)
 
     listener = Listener(handle, timeout=5.0)
     address = listener.start()
@@ -358,14 +363,122 @@ def test_listener_keeps_no_connection_after_its_handler_ends():
             with socket.create_connection(address, timeout=5) as sock:
                 sock.sendall(b"x")
         deadline = time.monotonic() + 5
-        while (len(refs) < 3 or listener._handlers) and time.monotonic() < deadline:
+        while (len(finished) < 3 or any(ref() for ref in refs)) and time.monotonic() < deadline:
             time.sleep(0.01)
-        gc.collect()
-        assert len(refs) == 3
-        assert not listener._handlers
+            gc.collect()
+        assert len(finished) == 3
         assert all(ref() is None for ref in refs)
     finally:
         listener.stop()
+
+
+def _read_to_eof(sock: socket.socket) -> bytes:
+    data = b""
+    while chunk := sock.recv(4096):
+        data += chunk
+    return data
+
+
+def test_listener_serves_sequential_connections_on_two_workers():
+    """A worker waits in accept() while the other serves, and neither is replaced."""
+    workers = set()
+
+    def handle(conn):
+        workers.add(threading.current_thread())
+        conn.sendall(b"x")
+
+    listener = Listener(handle, timeout=5.0)
+    address = listener.start()
+    try:
+        for _ in range(50):
+            with socket.create_connection(address, timeout=5) as sock:
+                assert _read_to_eof(sock) == b"x"
+    finally:
+        listener.stop()
+    assert len(workers) <= 2
+
+
+def test_listener_grows_to_serve_overlapping_connections_at_once():
+    """Connections that overlap are served side by side, by one worker each and one spare."""
+    n = 8
+    together = threading.Barrier(n, timeout=5)
+    workers = set()
+
+    def handle(conn):
+        workers.add(threading.current_thread())
+        conn.recv(1)
+        together.wait()  # breaks unless all n connections are being served at once
+        conn.sendall(b"ok")
+
+    before = set(threading.enumerate())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a lost count would show
+    listener = Listener(handle, timeout=5.0)
+    address = listener.start()
+    try:
+        socks = [socket.create_connection(address, timeout=5) for _ in range(n)]
+        try:
+            for sock in socks:
+                sock.sendall(b"x")
+            replies = [_read_to_eof(sock) for sock in socks]
+        finally:
+            for sock in socks:
+                sock.close()
+        started = set(threading.enumerate()) - before
+    finally:
+        listener.stop()
+        sys.setswitchinterval(interval)
+    assert replies == [b"ok"] * n
+    assert len(workers) == n
+    assert len(started) <= n + 1
+
+
+def test_listener_keeps_serving_after_a_handler_error(caplog):
+    workers = []
+
+    def handle(conn):
+        workers.append(threading.current_thread())
+        if conn.recv(1) == b"!":
+            raise RuntimeError("handler failed")
+        conn.sendall(b"ok")
+
+    listener = Listener(handle, timeout=5.0)
+    address = listener.start()
+    try:
+        with caplog.at_level(logging.WARNING, logger="mitmscan.engine"):
+            for request, reply in ((b"!", b""), (b"x", b"ok"), (b"!", b""), (b"x", b"ok")):
+                with socket.create_connection(address, timeout=5) as sock:
+                    sock.sendall(request)
+                    assert _read_to_eof(sock) == reply
+    finally:
+        listener.stop()
+    assert len(set(workers)) <= 2
+    assert caplog.text.count("connection handler error: handler failed") == 2
+
+
+def test_listener_serves_the_connection_when_no_worker_can_start(monkeypatch, caplog):
+    served = []
+
+    def handle(conn):
+        served.append(conn.recv(1))
+
+    listener = Listener(handle, timeout=5.0)
+    address = listener.start()
+
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
+
+    try:
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        with caplog.at_level(logging.WARNING, logger="mitmscan.engine"):
+            with socket.create_connection(address, timeout=5) as sock:
+                sock.sendall(b"x")
+                assert _read_to_eof(sock) == b""
+    finally:
+        monkeypatch.undo()
+        listener.stop()
+    assert served == [b"x"]
+    assert "could not start a listener worker" in caplog.text
 
 
 def _preamble(**fields) -> bytes:
@@ -427,6 +540,45 @@ def test_malformed_preamble_is_dropped_and_logged(material, caplog, preamble, pr
     assert warnings[0].startswith("dropping connection: preamble ")
     assert problem in warnings[0]
     assert not any(r.exc_info for r in caplog.records)
+
+
+def test_client_hello_sent_with_the_preamble_is_left_for_the_handshake(material, ledger_file):
+    """A ClientHello in the same segment as the preamble is not read away with it."""
+    path, read = ledger_file
+    ledger = FlowLedger(path)
+    incoming, outgoing = ssl.MemoryBIO(), ssl.MemoryBIO()
+    tls = appsim._client_context().wrap_bio(incoming, outgoing, server_hostname="svc.example.com")
+    with pytest.raises(ssl.SSLWantReadError):
+        tls.do_handshake()
+    with MitmEngine(material, "T1", POLICY_ALWAYS, ledger, grace_seconds=1.0) as engine:
+        started = time.perf_counter()
+        with socket.create_connection(engine.address, timeout=2) as sock:
+            sock.sendall(_preamble() + outgoing.read())
+            stream = b""
+            while b"\n" not in stream:
+                stream += sock.recv(4096)
+            reply, _, handshake = stream.partition(b"\n")
+            incoming.write(handshake)
+            while True:
+                try:
+                    tls.do_handshake()
+                    break
+                except ssl.SSLWantReadError:
+                    sock.sendall(outgoing.read())
+                    incoming.write(sock.recv(4096))
+            tls.write(b"ping")
+            sock.sendall(outgoing.read())
+            echo = b""
+            while echo != b"ping":
+                incoming.write(sock.recv(4096))
+                try:
+                    echo += tls.read(4096)
+                except ssl.SSLWantReadError:
+                    pass
+        elapsed = time.perf_counter() - started
+    assert json.loads(reply) == {"action": "test"}
+    assert [r.outcome for r in read()] == ["vulnerable"]
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("test", ["T1", "T3"])
@@ -558,3 +710,4 @@ def test_concurrent_flows_land_once_each_in_file_order(material, tmp_path):
     assert sorted(line["app_id"] for line in lines) == sorted(app.app_id for app in apps)
     outcomes = {r.app_id: r.outcome for r in read_ledger(path)}
     assert [outcomes[app.app_id] for app in apps] == ["vulnerable", "secure"] * 4
+

@@ -17,6 +17,7 @@ from mitmscan.flowledger import (
     FlowLedger,
     FlowRecord,
     normalize_fqdn,
+    parse_json_line,
     read_ledger,
 )
 
@@ -200,3 +201,31 @@ def test_read_ledger_returns_the_live_records(steps):
             live.record_flow(**flow)
             written.append(FlowRecord(ts_mono=len(written), **flow))
         assert read_ledger(path) == written
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"a": 1}',
+        ' {"a": 1} ',
+        '\t{"a": [1, "x"]}\r',
+        '{"a": 1} x',
+        '{"a": 1}{"b": 2}',
+        '\x0c{"a": 1}',
+        '{"a": 1}\x0c',
+        "",
+        " ",
+        "NaN",
+        "\ufeff{}",
+        '{"a": 1',
+        '"text"',
+    ],
+)
+def test_parse_json_line_agrees_with_json_loads(line):
+    try:
+        expected = json.loads(line)
+    except json.JSONDecodeError:
+        with pytest.raises(json.JSONDecodeError):
+            parse_json_line(line)
+    else:
+        assert repr(parse_json_line(line)) == repr(expected)  # NaN equals nothing, itself included
