@@ -3,18 +3,22 @@
 Connections arrive over localhost TCP with a one-line JSON preamble carrying
 the forwarder metadata (app id, destination FQDN, channel); it stands in for
 the per-app VPN forwarder. A preamble over ``MAX_PREAMBLE_BYTES``,
-unterminated or malformed drops the connection with one warning and no
-reply. Otherwise the engine answers with a one-line JSON reply,
-``{"action": "test" | "skip"}``, then runs a real TLS handshake over the
-same socket, and clients decide on the chain that handshake served. Clients
-read the reply and use none of it: it stays only because the benchmark's
-OpenSSL check, ``perfbench/checks.ssl_verdicts``, waits for a line before
-its handshake, and it goes when that check stops.
+malformed, or not ended by the connection's deadline drops the connection
+with one warning and no reply. Otherwise the engine answers with a one-line
+JSON reply, ``{"action": "test" | "skip"}``, then runs a real TLS handshake
+over the same socket, and clients decide on the chain that handshake served.
+Clients read the reply and use none of it: it stays only because the
+benchmark's OpenSSL check, ``perfbench/checks.ssl_verdicts``, waits for a
+line before its handshake, and it goes when that check stops.
 
-The engine records a flow before it echoes the client's data or closes the
-connection, so a finished flow is in the ledger by the time its client sees
-the flow end, and a client's next flow decides on it. No lock is held across
-a handshake or a wait: one idle or broken client holds up no other.
+A verdict rests on what the client did: data after the handshake is
+``vulnerable``, an alert in it or a clean close right after it is ``secure``,
+and anything else, such as a timeout, a reset or bytes that are not TLS 1.2+,
+is ``inconclusive``. The engine records a flow before it echoes the client's
+data or closes the connection, so a finished flow is in the ledger by the
+time its client sees the flow end, and a client's next flow decides on it.
+No lock is held across a handshake or a wait: one idle or broken client
+holds up no other.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import socket
 import ssl
 import tempfile
 import threading
+import time
 from dataclasses import dataclass, field
 
 from .certforge import (
@@ -125,19 +130,31 @@ def legit_for(target_fqdn: str, material: MitmMaterial) -> LeafCertificate:
     return material.leaf_for(material.lab_trusted_root, target_fqdn)
 
 
-def _read_preamble(sock: socket.socket) -> tuple[str, str, str] | None:
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline`` on the monotonic clock; a TimeoutError once it has passed."""
+    if (left := deadline - time.monotonic()) <= 0:
+        raise TimeoutError("connection deadline passed")
+    return left
+
+
+def _read_preamble(sock: socket.socket, deadline: float) -> tuple[str, str, str] | None:
     """The preamble's (app id, normalized host, channel), or None to drop the flow.
 
     The host is normalized here, so a leaf is forged for the name the ledger
-    records. Bytes past the newline, such as a ClientHello sent with it, stay unread.
+    records. Bytes past the newline, such as a ClientHello sent with it, stay
+    unread. A line not ended by ``deadline`` is dropped as unterminated.
     """
     line = b""
-    while len(line) < MAX_PREAMBLE_BYTES and not line.endswith(b"\n"):
-        if not (peeked := sock.recv(MAX_PREAMBLE_BYTES - len(line), socket.MSG_PEEK)):
-            break
-        line += sock.recv(peeked.find(b"\n") + 1 or len(peeked))
-    if not line:
-        return None
+    try:
+        while not line.endswith(b"\n") and len(line) < MAX_PREAMBLE_BYTES:
+            sock.settimeout(_time_left(deadline))
+            if not (peeked := sock.recv(MAX_PREAMBLE_BYTES - len(line), socket.MSG_PEEK)):
+                if not line:
+                    return None  # closed before its first byte: no preamble to drop
+                break
+            line += sock.recv(peeked.find(b"\n") + 1 or len(peeked))
+    except OSError:
+        pass  # a timeout, a reset or the deadline leaves the line unterminated
     if not line.endswith(b"\n"):
         problem = f"unterminated or over {MAX_PREAMBLE_BYTES} bytes"
     else:
@@ -167,8 +184,8 @@ class Listener:
     ``accept()`` starts one first, after up to 5 ms for a busy worker to come
     back: no client holds up a new connection, and a sequential client is
     served by two workers. ``stop()`` shuts the socket down, which wakes every
-    ``accept()``, and joins every worker. Each connection gets ``timeout``,
-    which bounds every socket wait of its handler.
+    ``accept()``, and joins every worker. Each connection starts with ``timeout``
+    as its socket timeout.
     """
 
     def __init__(self, handle, timeout: float):
@@ -250,8 +267,9 @@ class MitmEngine:
     request, or the engine closing the connection. ``stop()`` wakes every
     idle listener worker at once and waits for each one still serving a
     connection, so the flows of clients that left without waiting for the end
-    are in the ledger when it returns too. Each socket operation of a worker
-    is bounded by the connection timeout, ``max(4 x grace, 5 s)``.
+    are in the ledger when it returns too. Each connection has one deadline,
+    ``max(4 x grace, 5 s)`` after it is accepted: every wait, from the
+    preamble to the end of the grace wait, gets no more than the time left.
     """
 
     def __init__(
@@ -278,11 +296,7 @@ class MitmEngine:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
-        timeout = max(self.grace_seconds * 4, 5.0)
-        try:
-            self._listener = Listener(self._handle_connection, timeout)
-        except OSError as exc:
-            raise RuntimeError(f"listener bind failed: {exc}") from exc
+        self._listener = Listener(self._handle_connection, max(self.grace_seconds * 4, 5.0))
         return self._listener.start()
 
     @property
@@ -305,74 +319,44 @@ class MitmEngine:
     # -- per-connection flow -----------------------------------------------
 
     def _handle_connection(self, sock: socket.socket) -> None:
-        preamble = _read_preamble(sock)
+        deadline = time.monotonic() + sock.gettimeout()
+        preamble = _read_preamble(sock, deadline)
         if preamble is None:
             return
         app_id, fqdn, channel = preamble
         decision = self.ledger.decide_retest(app_id, fqdn, self.policy, self.test)
         forged = decision == "test"
-        leaf = (
-            forge_for(self.test, fqdn, self.material)
-            if forged
-            else legit_for(fqdn, self.material)
-        )
+        leaf = forge_for(self.test, fqdn, self.material) if forged else legit_for(fqdn, self.material)
         ctx = self.material.serve(leaf)
-        sock.sendall(json.dumps({"action": decision}).encode() + b"\n")
-
-        def record(outcome: str, tls_version: str = "unknown") -> None:
-            self.ledger.record_flow(
-                app_id=app_id,
-                fqdn=fqdn,
-                ts_wall=wall_clock(self.freeze_time),
-                tls_version=tls_version,
-                channel=channel,
-                test_applied=self.test,
-                outcome=outcome if forged else "skipped",
-            )
-
-        self._run_tls(sock, ctx, record)
-
-    def _run_tls(self, sock: socket.socket, ctx: ssl.SSLContext, record) -> None:
-        """Serve ``ctx`` and ``record`` the outcome before the client can see the flow end."""
-        # A client gone before its ClientHello never saw a certificate. Wrapping
-        # its socket anyway can leak it: when the peer has reset, the
-        # not-connected probe in SSLSocket._create raises without closing the
-        # socket it took over.
+        outcome, version, data, tls = "inconclusive", "unknown", b"", None
         try:
-            hello = sock.recv(1, socket.MSG_PEEK)
-        except OSError as exc:
-            log.debug("transport failure before the ClientHello: %s", exc)
-            hello = b""
-        if not hello:
-            return record("inconclusive")
-        try:
-            tls = ctx.wrap_socket(sock, server_side=True)
-        except ssl.SSLError as exc:
-            # The certificate flight was already sent; an alert here is the
-            # client rejecting it.
-            log.debug("post-certificate alert from client: %s", exc)
-            return record("secure")
-        except OSError as exc:
-            log.debug("pre-certificate transport failure: %s", exc)
-            return record("inconclusive")
-
-        with tls:
-            version = {"TLSv1.2": "TLS1.2", "TLSv1.3": "TLS1.3"}.get(
-                tls.version() or "", "unknown"
-            )
-            tls.settimeout(self.grace_seconds)
-            try:
+            sock.settimeout(_time_left(deadline))
+            sock.sendall(json.dumps({"action": decision}).encode() + b"\n")
+            # A client gone before its ClientHello never saw a certificate. Wrapping
+            # its socket anyway can leak it: when the peer has reset, the
+            # not-connected probe in SSLSocket._create raises without closing the
+            # socket it took over.
+            if sock.recv(1, socket.MSG_PEEK):
+                sock.settimeout(_time_left(deadline))
+                tls = ctx.wrap_socket(sock, server_side=True)
+                version = {"TLSv1.2": "TLS1.2", "TLSv1.3": "TLS1.3"}.get(tls.version(), "unknown")
+                tls.settimeout(min(self.grace_seconds, _time_left(deadline)))
                 data = tls.recv(4096)
-            except socket.timeout:
-                # Connection idles open with no application data: no evidence.
-                return record("inconclusive", version)
-            except OSError:
-                data = b""
-            # Data means the client accepted the chain. A clean close right
-            # after the handshake means it aborted on the certificate it saw.
-            record("vulnerable" if data else "secure", version)
-            if data:
-                try:
+                outcome = "vulnerable" if data else "secure"
+        except OSError as exc:
+            log.debug("flow ended before its data: %s", exc)
+            if "ALERT" in str(getattr(exc, "reason", "")):  # the client rejected the chain
+                outcome = "secure"
+        self.ledger.record_flow(
+            app_id=app_id,
+            fqdn=fqdn,
+            ts_wall=wall_clock(self.freeze_time),
+            tls_version=version,
+            channel=channel,
+            test_applied=self.test,
+            outcome=outcome if forged else "skipped",
+        )
+        if tls is not None:
+            with tls, contextlib.suppress(OSError):
+                if data:
                     tls.sendall(data)  # echo, so clients can run request/response
-                except OSError:
-                    pass

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import json
 import logging
@@ -21,6 +22,7 @@ from mitmscan.engine import (
     Listener,
     MitmEngine,
     MitmMaterial,
+    _read_preamble,
     forge_for,
     legit_for,
 )
@@ -539,6 +541,121 @@ def test_malformed_preamble_is_dropped_and_logged(material, caplog, preamble, pr
     assert len(warnings) == 1
     assert warnings[0].startswith("dropping connection: preamble ")
     assert problem in warnings[0]
+    assert not any(r.exc_info for r in caplog.records)
+
+
+def test_dripped_preamble_is_dropped_at_the_deadline(caplog):
+    """A preamble still unterminated at the connection's deadline is dropped, however
+    steadily its bytes arrive."""
+    engine_side, client = socket.socketpair()
+    engine_side.settimeout(1.0)
+    stopped = threading.Event()
+
+    def drip():
+        for byte in _preamble():
+            if stopped.wait(0.3):
+                return
+            client.sendall(bytes([byte]))
+
+    dripper = threading.Thread(target=drip)
+    dripper.start()
+    try:
+        with caplog.at_level(logging.WARNING, logger="mitmscan.engine"):
+            started = time.monotonic()
+            assert _read_preamble(engine_side, started + engine_side.gettimeout()) is None
+            elapsed = time.monotonic() - started
+    finally:
+        stopped.set()
+        dripper.join()
+        engine_side.close()
+        client.close()
+    assert elapsed < 1.5
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("dropping connection: preamble unterminated or over")
+    assert not any(r.exc_info for r in caplog.records)
+
+
+def _handshake(address) -> ssl.SSLSocket:
+    """A client TLS socket whose handshake with the engine is done."""
+    return appsim._client_context().wrap_socket(
+        _after_reply(address, "com.test.app"), server_hostname="svc.example.com"
+    )
+
+
+def _send_ping(address):
+    with _handshake(address) as tls:
+        tls.sendall(b"ping")
+        assert tls.recv(64) == b"ping"
+
+
+def _close_after_handshake(address):
+    _handshake(address).close()
+
+
+def _reject_chain(version):
+    def client(address):
+        ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)  # CERT_REQUIRED, and trusts no root
+        ctx.maximum_version = version
+        with _after_reply(address, "com.test.app") as sock:
+            with pytest.raises(ssl.SSLCertVerificationError):
+                ctx.wrap_socket(sock, server_hostname="svc.example.com")
+    return client
+
+
+def _idle_past_grace(address):
+    with _handshake(address) as tls:
+        assert _read_to_eof(tls) == b""
+
+
+def _reset_after_preamble(address):
+    sock = socket.create_connection(address, timeout=5)
+    sock.sendall(_preamble())
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def _send_after_reply(payload):
+    def client(address):
+        with _after_reply(address, "com.test.app") as sock:
+            sock.sendall(payload)
+            with contextlib.suppress(ConnectionResetError):  # the engine left bytes unread
+                _read_to_eof(sock)
+    return client
+
+
+def _client_hello(version: bytes) -> bytes:
+    """A ClientHello record offering ``version`` and one cipher suite, with no extensions."""
+    body = version + bytes(32) + b"\x00" + b"\x00\x02\x00\x2f" + b"\x01\x00"
+    handshake = b"\x01" + len(body).to_bytes(3, "big") + body
+    return b"\x16\x03\x01" + len(handshake).to_bytes(2, "big") + handshake
+
+
+@pytest.mark.parametrize(
+    "client, outcome",
+    [
+        (_send_ping, "vulnerable"),
+        (_close_after_handshake, "secure"),
+        (_reject_chain(ssl.TLSVersion.TLSv1_2), "secure"),
+        (_reject_chain(ssl.TLSVersion.TLSv1_3), "secure"),
+        (_idle_past_grace, "inconclusive"),
+        (_reset_after_preamble, "inconclusive"),
+        (_send_after_reply(b"GET / HTTP/1.1\r\nHost: svc.example.com\r\n\r\n"), "inconclusive"),
+        (_send_after_reply(_client_hello(b"\x03\x02")), "inconclusive"),
+    ],
+    ids=["ping", "close", "reject-tls1.2", "reject-tls1.3", "idle", "reset-after-preamble",
+         "http-request", "tls1.1-only"],
+)
+def test_each_client_leaves_one_record_with_the_verdict_it_gave(
+    material, caplog, client, outcome, ledger_file
+):
+    """Data is vulnerable, an alert or a clean close is secure, and anything else
+    shows nothing about the chain."""
+    path, read = ledger_file
+    with caplog.at_level(logging.WARNING, logger="mitmscan.engine"):
+        with MitmEngine(material, "T1", POLICY_ALWAYS, FlowLedger(path), grace_seconds=0.3) as engine:
+            client(engine.address)
+    assert [r.outcome for r in read()] == [outcome]
     assert not any(r.exc_info for r in caplog.records)
 
 
