@@ -188,7 +188,7 @@ class FlowResult:
     fqdn: str
     channel: str
     route: str
-    accepted: bool | None  # None when not intercepted (DIRECT) or on a transport error
+    accepted: bool | None  # None when not intercepted (DIRECT or skipped) or on an error
     error: str | None = None
 
 
@@ -216,7 +216,7 @@ def _client_context() -> ssl.SSLContext:
 
 
 def _read_line(sock: socket.socket) -> bytes:
-    """The engine's reply line, read in chunks and left unused.
+    """The engine's reply line, read in chunks.
 
     Chunks are safe: the engine sends nothing after the line until the
     client's ClientHello, so no TLS bytes are consumed here.
@@ -232,6 +232,17 @@ def _read_line(sock: socket.socket) -> bytes:
     return bytes(buf)
 
 
+def _reply_action(reply: bytes) -> str:
+    """The action a reply line names, "test" or "skip"; a ValueError for any other reply."""
+    try:
+        action = json.loads(reply)["action"]
+    except (ValueError, TypeError, KeyError):  # not JSON, not an object, or no action
+        action = None
+    if action not in ("test", "skip"):
+        raise ValueError(f"engine reply {reply[:80]!r} is no test or skip action")
+    return action
+
+
 def served_chain(tls: ssl.SSLSocket | ssl.SSLObject) -> list[x509.Certificate]:
     """The chain the peer presented in the handshake, leaf first, unverified."""
     chain = tls._sslobj.get_unverified_chain() or ()
@@ -245,7 +256,11 @@ def perform_flow(
     store: TrustStore,
     now: datetime.datetime,
 ) -> FlowResult:
-    """Run one intercepted flow: preamble, TLS handshake, then a verdict on the served chain."""
+    """Run one flow: the preamble, the engine's reply and, on ``test``, a TLS handshake.
+
+    The client decides on the chain the handshake served. A flow the engine
+    skips is recorded there and not intercepted: its ``accepted`` and ``error`` are None.
+    """
     try:
         raw = socket.create_connection(engine_addr, timeout=FLOW_TIMEOUT_SECONDS)
     except OSError as exc:
@@ -255,7 +270,8 @@ def perform_flow(
         raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         preamble = {"app_id": app.app_id, "fqdn": spec.fqdn, "channel": spec.channel}
         raw.sendall(json.dumps(preamble).encode() + b"\n")
-        _read_line(raw)
+        if _reply_action(_read_line(raw)) == "skip":
+            return FlowResult(spec.fqdn, spec.channel, "MITM", None)
         tls = _client_context().wrap_socket(raw, server_hostname=spec.fqdn)
         chain = served_chain(tls)
         accepted = client_accepts(app.profile, chain, spec.fqdn, spec.channel, store, now)

@@ -66,30 +66,18 @@ def _scan_config(args) -> appsim.ScanConfig:
 
 def _event_for_flow(rec, material) -> locator.ValidationEvent:
     """Self-reported validation event mirroring what instrumentation would log."""
-    accepted = rec.outcome == "vulnerable"
+    common = dict(event_id=f"ev-{rec.test_applied}-{rec.ts_mono}", app_id=rec.app_id,
+                  verdict="accepted" if rec.outcome == "vulnerable" else "rejected",
+                  mitm_active=True, ts=float(rec.ts_mono))
     if rec.channel == "webview":
         return locator.ValidationEvent(
-            event_id=f"ev-{rec.test_applied}-{rec.ts_mono}",
-            app_id=rec.app_id,
             code_location=f"{rec.app_id}.web.Client.onReceivedSslError",
-            interface_kind="webview_client",
-            verdict="accepted" if accepted else "rejected",
-            mitm_active=True,
-            ts=float(rec.ts_mono),
-            hostname_param=rec.fqdn,
+            interface_kind="webview_client", hostname_param=rec.fqdn, **common,
         )
-    leaf = forge_for(rec.test_applied, rec.fqdn, material)
-    names = cert_dns_names(leaf.cert)
+    names = cert_dns_names(forge_for(rec.test_applied, rec.fqdn, material).cert)
     return locator.ValidationEvent(
-        event_id=f"ev-{rec.test_applied}-{rec.ts_mono}",
-        app_id=rec.app_id,
         code_location=f"{rec.app_id}.tls.Validator.checkServerTrusted",
-        interface_kind="trust_manager",
-        verdict="accepted" if accepted else "rejected",
-        mitm_active=True,
-        ts=float(rec.ts_mono),
-        cert_cn=names[0],
-        cert_sans=names[1:] or None,
+        interface_kind="trust_manager", cert_cn=names[0], cert_sans=names[1:] or None, **common,
     )
 
 

@@ -5,20 +5,19 @@ the forwarder metadata (app id, destination FQDN, channel); it stands in for
 the per-app VPN forwarder. A preamble over ``MAX_PREAMBLE_BYTES``,
 malformed, or not ended by the connection's deadline drops the connection
 with one warning and no reply. Otherwise the engine answers with a one-line
-JSON reply, ``{"action": "test" | "skip"}``, then runs a real TLS handshake
-over the same socket, and clients decide on the chain that handshake served.
-Clients read the reply and use none of it: it stays only because the
-benchmark's OpenSSL check, ``perfbench/checks.ssl_verdicts``, waits for a
-line before its handshake, and it goes when that check stops.
+JSON reply, ``{"action": "test" | "skip"}``, that tells the client whether
+its flow is intercepted. A flow the retest policy skips costs no leaf,
+server context or handshake. On ``test`` a real TLS handshake follows over
+the same socket, and clients decide on the chain that handshake served.
 
 A verdict rests on what the client did: data after the handshake is
 ``vulnerable``, an alert in it or a clean close right after it is ``secure``,
 and anything else, such as a timeout, a reset or bytes that are not TLS 1.2+,
-is ``inconclusive``. The engine records a flow before it echoes the client's
-data or closes the connection, so a finished flow is in the ledger by the
-time its client sees the flow end, and a client's next flow decides on it.
-No lock is held across a handshake or a wait: one idle or broken client
-holds up no other.
+is ``inconclusive``. The engine records a flow before it sends a skip reply,
+echoes the client's data or closes the connection, so a finished flow is in
+the ledger by the time its client sees the flow end, and a client's next
+flow decides on it. No lock is held across a handshake or a wait: one idle
+or broken client holds up no other.
 """
 
 from __future__ import annotations
@@ -70,9 +69,8 @@ class MitmMaterial:
     installed_root: RootAuthority
     client_store: TrustStore
     config: CertConfig = field(default_factory=CertConfig)
-    # (issuing root name, leaf name) -> leaf, and leaf -> the server context
-    # presenting it, which every engine of a scan shares. Both are
-    # deterministic, so a race between handler threads at worst builds one twice.
+    # (issuing root name, leaf name) -> leaf, and leaf -> the server context presenting it.
+    # Both are deterministic: a race between handler threads at worst builds one twice.
     _leaves: dict[tuple[str, str], LeafCertificate] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -123,11 +121,6 @@ def forge_for(test: str, target_fqdn: str, material: MitmMaterial) -> LeafCertif
     if test == "T2":
         return material.leaf_for(material.lab_trusted_root, ATTACKER_NAME)
     return material.leaf_for(material.installed_root, target_fqdn)
-
-
-def legit_for(target_fqdn: str, material: MitmMaterial) -> LeafCertificate:
-    """A correct-name, trusted-chain leaf, presented when a test is skipped."""
-    return material.leaf_for(material.lab_trusted_root, target_fqdn)
 
 
 def _time_left(deadline: float) -> float:
@@ -263,8 +256,8 @@ class Listener:
 class MitmEngine:
     """One engine instance runs one MitM test kind against incoming flows.
 
-    A flow is in the ledger when its client sees it end: the echo of its
-    request, or the engine closing the connection. ``stop()`` wakes every
+    A flow is in the ledger when its client sees it end: the skip reply, the
+    echo of its request, or the connection's close. ``stop()`` wakes every
     idle listener worker at once and waits for each one still serving a
     connection, so the flows of clients that left without waiting for the end
     are in the ledger when it returns too. Each connection has one deadline,
@@ -325,28 +318,28 @@ class MitmEngine:
             return
         app_id, fqdn, channel = preamble
         decision = self.ledger.decide_retest(app_id, fqdn, self.policy, self.test)
-        forged = decision == "test"
-        leaf = forge_for(self.test, fqdn, self.material) if forged else legit_for(fqdn, self.material)
-        ctx = self.material.serve(leaf)
-        outcome, version, data, tls = "inconclusive", "unknown", b"", None
-        try:
-            sock.settimeout(_time_left(deadline))
-            sock.sendall(json.dumps({"action": decision}).encode() + b"\n")
-            # A client gone before its ClientHello never saw a certificate. Wrapping
-            # its socket anyway can leak it: when the peer has reset, the
-            # not-connected probe in SSLSocket._create raises without closing the
-            # socket it took over.
-            if sock.recv(1, socket.MSG_PEEK):
+        reply = json.dumps({"action": decision}).encode() + b"\n"
+        outcome, version, data, tls = "skipped", "unknown", b"", None
+        if decision == "test":
+            outcome, ctx = "inconclusive", self.material.serve(forge_for(self.test, fqdn, self.material))
+            try:
                 sock.settimeout(_time_left(deadline))
-                tls = ctx.wrap_socket(sock, server_side=True)
-                version = {"TLSv1.2": "TLS1.2", "TLSv1.3": "TLS1.3"}.get(tls.version(), "unknown")
-                tls.settimeout(min(self.grace_seconds, _time_left(deadline)))
-                data = tls.recv(4096)
-                outcome = "vulnerable" if data else "secure"
-        except OSError as exc:
-            log.debug("flow ended before its data: %s", exc)
-            if "ALERT" in str(getattr(exc, "reason", "")):  # the client rejected the chain
-                outcome = "secure"
+                sock.sendall(reply)
+                # A client gone before its ClientHello never saw a certificate. Wrapping
+                # its socket anyway can leak it: when the peer has reset, the
+                # not-connected probe in SSLSocket._create raises without closing the
+                # socket it took over.
+                if sock.recv(1, socket.MSG_PEEK):
+                    sock.settimeout(_time_left(deadline))
+                    tls = ctx.wrap_socket(sock, server_side=True)
+                    version = {"TLSv1.2": "TLS1.2", "TLSv1.3": "TLS1.3"}.get(tls.version(), "unknown")
+                    tls.settimeout(min(self.grace_seconds, _time_left(deadline)))
+                    data = tls.recv(4096)
+                    outcome = "vulnerable" if data else "secure"
+            except OSError as exc:
+                log.debug("flow ended before its data: %s", exc)
+                if "ALERT" in str(getattr(exc, "reason", "")):  # the client rejected the chain
+                    outcome = "secure"
         self.ledger.record_flow(
             app_id=app_id,
             fqdn=fqdn,
@@ -354,9 +347,12 @@ class MitmEngine:
             tls_version=version,
             channel=channel,
             test_applied=self.test,
-            outcome=outcome if forged else "skipped",
+            outcome=outcome,
         )
         if tls is not None:
             with tls, contextlib.suppress(OSError):
                 if data:
                     tls.sendall(data)  # echo, so clients can run request/response
+        elif decision == "skip":
+            with contextlib.suppress(OSError):
+                sock.sendall(reply)  # the flow is recorded: the client may start its next

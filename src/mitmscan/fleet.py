@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .appsim import Action, FlowSpec, Screen, SyntheticApp
 from .certforge import fingerprint
-from .engine import MitmMaterial, forge_for, legit_for
+from .engine import MitmMaterial, forge_for
 from .flowledger import TESTS
 from .profiles import (
     HOSTNAME_BEHAVIORS,
@@ -68,7 +68,7 @@ def demo_fleet(material: MitmMaterial) -> list[SyntheticApp]:
             profile = ClientProfile(**{"hostname_behavior": hostname, field: code},
                                     condition_params=params)
             apps.append(_app(f"com.fleet.{code.lower()}", [host], profile))
-    pin_leaf_fp = fingerprint(legit_for("pinleaf.example.com", material).cert)
+    pin_leaf_fp = fingerprint(material.leaf_for(material.lab_trusted_root, "pinleaf.example.com").cert)
     pin_root_fp = material.lab_trusted_root.fingerprint
     apps += [
         _app("com.fleet.pinleaf", ["pinleaf.example.com"], ClientProfile(

@@ -18,6 +18,7 @@ from mitmscan.appsim import (
     next_action,
     parse_action_reply,
     _read_line,
+    _reply_action,
     perform_flow,
 )
 from mitmscan.engine import Listener, MitmEngine
@@ -276,3 +277,67 @@ def test_flow_with_an_oversized_reply_is_an_error(material):
         stub.stop()
     assert result.accepted is None
     assert f"over {MAX_REPLY_BYTES} bytes" in result.error
+
+
+BAD_REPLIES = [b"not json\n", b'["skip"]\n', b'{"skip": true}\n', b'{"action": "retest"}\n']
+BAD_REPLY_IDS = ["not-json", "not-an-object", "no-action", "unknown-action"]
+
+
+@pytest.mark.parametrize(
+    "reply, action", [(b'{"action": "test"}\n', "test"), (b'{"action": "skip"}\n', "skip")],
+    ids=["test", "skip"],
+)
+def test_reply_names_test_or_skip(reply, action):
+    client, server = socket.socketpair()
+    with client, server:
+        client.settimeout(5)
+        server.sendall(reply)
+        assert _reply_action(_read_line(client)) == action
+
+
+@pytest.mark.parametrize("reply", BAD_REPLIES, ids=BAD_REPLY_IDS)
+def test_any_other_reply_is_refused(reply):
+    client, server = socket.socketpair()
+    with client, server:
+        client.settimeout(5)
+        server.sendall(reply)
+        with pytest.raises(ValueError, match="engine reply .* is no test or skip action"):
+            _reply_action(_read_line(client))
+
+
+def _flow_against_reply(material, reply):
+    """perform_flow against a stub engine that answers the preamble with ``reply``,
+    and the first byte the client sent after its preamble (b"" if none)."""
+    sent = []
+
+    def answer(conn):
+        conn.makefile("rb").readline()
+        conn.sendall(reply)
+        sent.append(conn.recv(1))
+
+    stub = Listener(answer, timeout=5.0)
+    address = stub.start()
+    try:
+        result = perform_flow(
+            two_screen_app(), FlowSpec("a.example.com"), address,
+            material.client_store, material.config.now,
+        )
+    finally:
+        stub.stop()
+    return result, sent
+
+
+def test_flow_goes_on_to_the_handshake_only_on_test(material):
+    _, sent = _flow_against_reply(material, b'{"action": "test"}\n')
+    assert sent == [b"\x16"]  # a TLS handshake record: the ClientHello
+    result, sent = _flow_against_reply(material, b'{"action": "skip"}\n')
+    assert (result.route, result.accepted, result.error) == ("MITM", None, None)
+    assert sent == [b""]
+
+
+@pytest.mark.parametrize("reply", BAD_REPLIES, ids=BAD_REPLY_IDS)
+def test_flow_with_any_other_reply_is_an_error(material, reply):
+    result, sent = _flow_against_reply(material, reply)
+    assert result.accepted is None
+    assert "is no test or skip action" in result.error
+    assert sent == [b""]  # no ClientHello

@@ -11,7 +11,9 @@ import pytest
 from mitmscan import cli
 from mitmscan.appsim import Action, FlowSpec, ScanConfig, Screen, SyntheticApp
 from mitmscan.cli import EXIT_OK, EXIT_USAGE, main
-from mitmscan.flowledger import POLICY_ALWAYS, TESTS, read_ledger
+from mitmscan.engine import MitmMaterial, forge_for
+from mitmscan.fleet import demo_fleet
+from mitmscan.flowledger import POLICY_ALWAYS, POLICY_UNTIL_VULNERABLE, TESTS, read_ledger
 from mitmscan.profiles import ClientProfile
 
 CORPUS = str(Path(__file__).resolve().parents[1] / "src" / "mitmscan" / "data" / "corpus")
@@ -202,6 +204,30 @@ def test_scripted_walk_takes_every_action_once(material, tmp_path):
     report = json.loads((tmp_path / "scripted" / "scan_report.json").read_text())
     assert report["apps"]["com.deep.app"]["steps"] == 12 * len(TESTS)
     assert all(set(hosts) - set(walk) for walk in walks["random"])
+
+
+def test_skip_if_vulnerable_scan_skips_only_after_a_vulnerable_flow(context_loads, tmp_path):
+    """Each skipped flow follows a vulnerable one of its (app, host, test), and the
+    scan loads one server context per forged leaf it served, none for a skip."""
+    material = MitmMaterial.generate()
+    config = ScanConfig(strategy="scripted", policy=POLICY_UNTIL_VULNERABLE, seed=7)
+    cli.run_scan(config, demo_fleet(material), None, tmp_path, material, freeze_time=True)
+    served, skipped = set(), 0
+    for test in TESTS:
+        vulnerable = set()
+        for rec in read_ledger(tmp_path / f"ledger_{test}.jsonl"):
+            key = (rec.app_id, rec.fqdn)
+            if rec.outcome == "skipped":
+                assert key in vulnerable, (test, rec)
+                assert rec.tls_version == "unknown"
+                skipped += 1
+                continue
+            assert rec.outcome in ("vulnerable", "secure"), (test, rec)
+            served.add(forge_for(test, rec.fqdn, material))
+            if rec.outcome == "vulnerable":
+                vulnerable.add(key)
+    assert skipped > 0
+    assert len(context_loads) == len(served)
 
 
 def test_empty_allowlist_yields_zero_flows(tmp_path):

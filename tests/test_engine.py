@@ -24,7 +24,6 @@ from mitmscan.engine import (
     MitmMaterial,
     _read_preamble,
     forge_for,
-    legit_for,
 )
 from mitmscan.fleet import expected_truth_table
 from mitmscan.flowledger import (
@@ -129,9 +128,6 @@ def test_engine_skip_policy(material, ledger_file):
                 material.config.now,
             )
     assert [r.outcome for r in read()] == ["vulnerable", "skipped"]
-    # the skipped connection was served the legitimate chain
-    legit = legit_for("svc.example.com", material)
-    assert cert_dns_names(legit.cert) == ["svc.example.com", "svc.example.com"]
 
 
 def test_engine_inconclusive_on_early_abort(material, ledger_file):
@@ -174,7 +170,7 @@ def test_client_decides_on_the_chain_the_handshake_served(material, monkeypatch,
     serve = MitmMaterial.serve
 
     def serve_legit(self, leaf):
-        return serve(self, legit_for("svc.example.com", self))
+        return serve(self, self.leaf_for(self.lab_trusted_root, "svc.example.com"))
 
     monkeypatch.setattr(MitmMaterial, "serve", serve_legit)
     records, result = _run_one(ledger_file, material, "T1", ClientProfile())
@@ -190,23 +186,9 @@ def test_engine_t3_records_vulnerable_flow(material, ledger_file):
     assert records[0].outcome == "vulnerable"
 
 
-def _count_context_loads(monkeypatch) -> list[str]:
-    """Every ``load_cert_chain`` call from here on, by the file it loads."""
-    loads = []
-    load = ssl.SSLContext.load_cert_chain
-
-    def counting(ctx, certfile, *args, **kwargs):
-        loads.append(certfile)
-        return load(ctx, certfile, *args, **kwargs)
-
-    monkeypatch.setattr(ssl.SSLContext, "load_cert_chain", counting)
-    return loads
-
-
-def test_t2_engine_builds_one_context_for_every_host(monkeypatch, ledger_file):
+def test_t2_engine_builds_one_context_for_every_host(context_loads, ledger_file):
     """T2 serves the same leaf whatever the host, so it needs one SSLContext."""
     material = MitmMaterial.generate()  # the session fixture keeps its contexts
-    loads = _count_context_loads(monkeypatch)
     profile = ClientProfile(trust_behavior="T1", hostname_behavior="H1")
     path, read = ledger_file
     ledger = FlowLedger(path)
@@ -219,18 +201,18 @@ def test_t2_engine_builds_one_context_for_every_host(monkeypatch, ledger_file):
                 material.client_store,
                 material.config.now,
             )
-    assert len(loads) == 1
+    assert len(context_loads) == 1
     assert [r.outcome for r in read()] == ["vulnerable", "vulnerable"]
 
 
-def test_engines_share_the_context_of_a_leaf(monkeypatch, ledger_file):
-    """The T1-T3 engines of a scan all serve a skipped host's legitimate leaf
-    from one SSLContext, loaded once."""
+def test_skipped_flows_are_recorded_and_not_intercepted(monkeypatch, context_loads, ledger_file):
+    """A flow the once-per-host policy skips gets no leaf, context or handshake:
+    each engine records it skipped, with no TLS version, and its client sees no verdict."""
     material = MitmMaterial.generate()
-    loads = _count_context_loads(monkeypatch)
+    wraps = []
+    monkeypatch.setattr(appsim, "_client_context", lambda: wraps.append(1))
     app = _one_screen_app("com.test.app", "svc.example.com", ClientProfile())
     path, read = ledger_file
-    outcomes = []
     for test in TESTS:
         ledger = FlowLedger(path)
         # Tested once before, so the once-per-host policy skips the host.
@@ -245,10 +227,11 @@ def test_engines_share_the_context_of_a_leaf(monkeypatch, ledger_file):
                 material.client_store,
                 material.config.now,
             )
-        assert result.error is None
-        outcomes.append(read()[-1].outcome)
-    assert outcomes == ["skipped"] * 3
-    assert len(loads) == 1
+        assert (result.route, result.accepted, result.error) == ("MITM", None, None)
+        assert [(r.outcome, r.tls_version) for r in read()[1:]] == [("skipped", "unknown")]
+    assert not material._leaves  # no leaf was issued
+    assert context_loads == []
+    assert wraps == []
 
 
 def test_engine_issues_no_session_ticket(material, monkeypatch, ledger_file):
