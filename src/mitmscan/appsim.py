@@ -29,7 +29,6 @@ log = logging.getLogger(__name__)
 
 STRATEGIES = ("random", "scripted", "external_llm")
 
-MAX_REPLY_BYTES = 64 * 1024
 FLOW_TIMEOUT_SECONDS = 10.0  # bounds each socket wait of a flow
 
 BACK_ACTION = "back"
@@ -215,34 +214,6 @@ def _client_context() -> ssl.SSLContext:
     return ctx
 
 
-def _read_line(sock: socket.socket) -> bytes:
-    """The engine's reply line, read in chunks.
-
-    Chunks are safe: the engine sends nothing after the line until the
-    client's ClientHello, so no TLS bytes are consumed here.
-    """
-    buf = bytearray()
-    while not buf.endswith(b"\n"):
-        chunk = sock.recv(4096)
-        if not chunk:
-            raise ConnectionError("engine closed before the end of its reply")
-        buf += chunk
-        if len(buf) > MAX_REPLY_BYTES:
-            raise ValueError(f"engine reply over {MAX_REPLY_BYTES} bytes")
-    return bytes(buf)
-
-
-def _reply_action(reply: bytes) -> str:
-    """The action a reply line names, "test" or "skip"; a ValueError for any other reply."""
-    try:
-        action = json.loads(reply)["action"]
-    except (ValueError, TypeError, KeyError):  # not JSON, not an object, or no action
-        action = None
-    if action not in ("test", "skip"):
-        raise ValueError(f"engine reply {reply[:80]!r} is no test or skip action")
-    return action
-
-
 def served_chain(tls: ssl.SSLSocket | ssl.SSLObject) -> list[x509.Certificate]:
     """The chain the peer presented in the handshake, leaf first, unverified."""
     chain = tls._sslobj.get_unverified_chain() or ()
@@ -256,10 +227,14 @@ def perform_flow(
     store: TrustStore,
     now: datetime.datetime,
 ) -> FlowResult:
-    """Run one flow: the preamble, the engine's reply and, on ``test``, a TLS handshake.
+    """Run one flow: the preamble, the engine's reply line and, on ``test``, a TLS handshake.
 
-    The client decides on the chain the handshake served. A flow the engine
-    skips is recorded there and not intercepted: its ``accepted`` and ``error`` are None.
+    The engine answers the line ``test`` or ``skip``, and the client reads at
+    most its five bytes, so it takes no byte of the handshake. A skipped flow
+    is recorded by the engine and not intercepted: its ``accepted`` and
+    ``error`` are None. Any other reply, or a close before five bytes, is a
+    flow error, with no ClientHello sent. On ``test`` the client decides on
+    the chain the handshake served.
     """
     try:
         raw = socket.create_connection(engine_addr, timeout=FLOW_TIMEOUT_SECONDS)
@@ -270,8 +245,13 @@ def perform_flow(
         raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         preamble = {"app_id": app.app_id, "fqdn": spec.fqdn, "channel": spec.channel}
         raw.sendall(json.dumps(preamble).encode() + b"\n")
-        if _reply_action(_read_line(raw)) == "skip":
+        reply = b""
+        while len(reply) < 5 and (chunk := raw.recv(5 - len(reply))):
+            reply += chunk
+        if reply == b"skip\n":
             return FlowResult(spec.fqdn, spec.channel, "MITM", None)
+        if reply != b"test\n":
+            raise ValueError(f"engine reply {reply!r} is no test or skip line")
         tls = _client_context().wrap_socket(raw, server_hostname=spec.fqdn)
         chain = served_chain(tls)
         accepted = client_accepts(app.profile, chain, spec.fqdn, spec.channel, store, now)
@@ -286,7 +266,7 @@ def perform_flow(
                 pass
         tls.close()
         return FlowResult(spec.fqdn, spec.channel, "MITM", accepted)
-    except (OSError, ssl.SSLError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ssl.SSLError is an OSError
         return FlowResult(spec.fqdn, spec.channel, "MITM", None, str(exc))
     finally:
         raw.close()

@@ -2,7 +2,7 @@
 
 The rule backend is the deterministic default: it extracts the focus method's
 body and applies ordered token-level patterns per interface kind. The
-completion backend builds the few-shot prompt protocol and parses model
+completion backend builds the classification prompt and parses model
 replies, repairing invariant violations deterministically.
 """
 
@@ -236,12 +236,8 @@ def _classify_webview(body: str) -> list[str]:
 
 # -- prompt protocol -----------------------------------------------------------
 
-def build_prompt(
-    snippet: Snippet,
-    examples: list[tuple["Snippet", set[str], str | None]] | None = None,
-    variant: str = "P2",
-) -> str:
-    """Few-shot classification prompt; P1 omits the unknown category, P2 keeps it."""
+def build_prompt(snippet: Snippet, variant: str = "P2") -> str:
+    """Classification prompt; P1 omits the unknown category, P2 keeps it."""
     if variant not in ("P1", "P2"):
         raise ValueError(f"unknown prompt variant: {variant}")
     lines = [
@@ -258,11 +254,6 @@ def build_prompt(
     if variant == "P1":
         categories = categories[:-1]
     lines += [f"- {code}: {desc}" for code, desc in categories]
-    for i, (ex, labels, comment) in enumerate(examples or [], 1):
-        lines += ["", f"Example {i}", "Input:", ex.source_text.strip()]
-        lines.append("Output: " + ",".join(sorted(labels)))
-        if comment:
-            lines.append(f"Comment: {comment}")
     lines += [
         "",
         "Requirements",
@@ -299,14 +290,9 @@ class BackendError(Exception):
     """The text-completion backend failed after all retries."""
 
 
-def classify_llm(
-    snippet: Snippet,
-    backend,
-    variant: str = "P2",
-    examples: list[tuple[Snippet, set[str], str | None]] | None = None,
-) -> set[str]:
+def classify_llm(snippet: Snippet, backend, variant: str = "P2") -> set[str]:
     """Classify via a ``prompt -> completion`` callable with bounded retries."""
-    prompt = build_prompt(snippet, examples, variant)
+    prompt = build_prompt(snippet, variant)
     last_error: Exception | None = None
     for attempt in range(LLM_ATTEMPTS):
         try:
@@ -320,19 +306,11 @@ def classify_llm(
     return parse_completion(completion, snippet.interface_kind)
 
 
-def classify_llm_batch(
-    snippets: list[Snippet],
-    backend,
-    variant: str = "P2",
-    examples=None,
-) -> dict[str, set[str]]:
+def classify_llm_batch(snippets: list[Snippet], backend, variant: str = "P2") -> dict[str, set[str]]:
     from concurrent.futures import ThreadPoolExecutor  # only remote backends need threads
 
     with ThreadPoolExecutor(max_workers=LLM_WORKERS) as pool:
-        futures = {
-            s.snippet_id: pool.submit(classify_llm, s, backend, variant, examples)
-            for s in snippets
-        }
+        futures = {s.snippet_id: pool.submit(classify_llm, s, backend, variant) for s in snippets}
         return {sid: fut.result() for sid, fut in futures.items()}
 
 

@@ -4,11 +4,11 @@ Connections arrive over localhost TCP with a one-line JSON preamble carrying
 the forwarder metadata (app id, destination FQDN, channel); it stands in for
 the per-app VPN forwarder. A preamble over ``MAX_PREAMBLE_BYTES``,
 malformed, or not ended by the connection's deadline drops the connection
-with one warning and no reply. Otherwise the engine answers with a one-line
-JSON reply, ``{"action": "test" | "skip"}``, that tells the client whether
-its flow is intercepted. A flow the retest policy skips costs no leaf,
-server context or handshake. On ``test`` a real TLS handshake follows over
-the same socket, and clients decide on the chain that handshake served.
+with one warning and no reply. Otherwise the engine answers with the line
+``test`` or ``skip``, which tells the client whether its flow is
+intercepted. A flow the retest policy skips costs no leaf, server context
+or handshake. On ``test`` a real TLS handshake follows over the same socket,
+and clients decide on the chain that handshake served.
 
 A verdict rests on what the client did: data after the handshake is
 ``vulnerable``, an alert in it or a clean close right after it is ``secure``,
@@ -318,7 +318,7 @@ class MitmEngine:
             return
         app_id, fqdn, channel = preamble
         decision = self.ledger.decide_retest(app_id, fqdn, self.policy, self.test)
-        reply = json.dumps({"action": decision}).encode() + b"\n"
+        reply = decision.encode() + b"\n"
         outcome, version, data, tls = "skipped", "unknown", b"", None
         if decision == "test":
             outcome, ctx = "inconclusive", self.material.serve(forge_for(self.test, fqdn, self.material))

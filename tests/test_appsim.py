@@ -1,13 +1,10 @@
-import json
 import random
 import socket
-import threading
 import time
 
 import pytest
 
 from mitmscan.appsim import (
-    MAX_REPLY_BYTES,
     Action,
     FlowSpec,
     ScanConfig,
@@ -17,8 +14,6 @@ from mitmscan.appsim import (
     execute_session,
     next_action,
     parse_action_reply,
-    _read_line,
-    _reply_action,
     perform_flow,
 )
 from mitmscan.engine import Listener, MitmEngine
@@ -214,106 +209,23 @@ def test_time_budget_marks_partial(material):
     assert session.steps_taken == 1
 
 
-def test_read_line_joins_a_reply_split_across_sends():
-    client, server = socket.socketpair()
-    with client, server:
-        client.settimeout(5)
-
-        def send_in_two():
-            server.sendall(b'{"action": ')
-            time.sleep(0.05)
-            server.sendall(b'"test"}\n')
-
-        sender = threading.Thread(target=send_in_two)
-        sender.start()
-        assert _read_line(client) == b'{"action": "test"}\n'
-        sender.join(timeout=5)
-        assert not sender.is_alive()
-
-
-def test_read_line_refuses_a_reply_cut_short():
-    client, server = socket.socketpair()
-    with client, server:
-        client.settimeout(5)
-        server.sendall(b'{"action": "te')
-        server.close()
-        with pytest.raises(ConnectionError):
-            _read_line(client)
-
-
-def test_read_line_refuses_a_reply_over_its_limit():
-    client, server = socket.socketpair()
-    with client, server:
-        client.settimeout(5)
-        sender = threading.Thread(
-            target=server.sendall, args=(b"x" * MAX_REPLY_BYTES + b"x\n",)
-        )
-        sender.start()
-        with pytest.raises(ValueError, match=f"over {MAX_REPLY_BYTES} bytes"):
-            _read_line(client)
-        sender.join(timeout=5)
-        assert not sender.is_alive()
-
-
-def test_flow_with_an_oversized_reply_is_an_error(material):
-    def oversized_reply(conn):
-        conn.makefile("rb").readline()
-        try:
-            conn.sendall(json.dumps({"action": "x" * MAX_REPLY_BYTES}).encode() + b"\n")
-        except OSError:
-            pass  # the client hangs up once it has read past its limit
-
-    stub = Listener(oversized_reply, timeout=5.0)
-    address = stub.start()
-    try:
-        result = perform_flow(
-            two_screen_app(),
-            FlowSpec("a.example.com"),
-            address,
-            material.client_store,
-            material.config.now,
-        )
-    finally:
-        stub.stop()
-    assert result.accepted is None
-    assert f"over {MAX_REPLY_BYTES} bytes" in result.error
-
-
-BAD_REPLIES = [b"not json\n", b'["skip"]\n', b'{"skip": true}\n', b'{"action": "retest"}\n']
-BAD_REPLY_IDS = ["not-json", "not-an-object", "no-action", "unknown-action"]
-
-
-@pytest.mark.parametrize(
-    "reply, action", [(b'{"action": "test"}\n', "test"), (b'{"action": "skip"}\n', "skip")],
-    ids=["test", "skip"],
-)
-def test_reply_names_test_or_skip(reply, action):
-    client, server = socket.socketpair()
-    with client, server:
-        client.settimeout(5)
-        server.sendall(reply)
-        assert _reply_action(_read_line(client)) == action
-
-
-@pytest.mark.parametrize("reply", BAD_REPLIES, ids=BAD_REPLY_IDS)
-def test_any_other_reply_is_refused(reply):
-    client, server = socket.socketpair()
-    with client, server:
-        client.settimeout(5)
-        server.sendall(reply)
-        with pytest.raises(ValueError, match="engine reply .* is no test or skip action"):
-            _reply_action(_read_line(client))
-
-
-def _flow_against_reply(material, reply):
-    """perform_flow against a stub engine that answers the preamble with ``reply``,
-    and the first byte the client sent after its preamble (b"" if none)."""
+def _flow_against_reply(material, *parts):
+    """perform_flow against a stub engine that answers the preamble with ``parts``,
+    sent apart and followed by the end of its writes, and the first byte the
+    client sent after its preamble (b"" if none)."""
     sent = []
 
     def answer(conn):
         conn.makefile("rb").readline()
-        conn.sendall(reply)
-        sent.append(conn.recv(1))
+        for i, part in enumerate(parts):
+            if i:
+                time.sleep(0.05)  # so the client reads each part apart
+            conn.sendall(part)
+        try:
+            conn.shutdown(socket.SHUT_WR)
+            sent.append(conn.recv(1))
+        except OSError:  # the client left with bytes of the reply unread
+            sent.append(b"")
 
     stub = Listener(answer, timeout=5.0)
     address = stub.start()
@@ -328,16 +240,25 @@ def _flow_against_reply(material, reply):
 
 
 def test_flow_goes_on_to_the_handshake_only_on_test(material):
-    _, sent = _flow_against_reply(material, b'{"action": "test"}\n')
+    _, sent = _flow_against_reply(material, b"test\n")
     assert sent == [b"\x16"]  # a TLS handshake record: the ClientHello
-    result, sent = _flow_against_reply(material, b'{"action": "skip"}\n')
+    result, sent = _flow_against_reply(material, b"skip\n")
     assert (result.route, result.accepted, result.error) == ("MITM", None, None)
     assert sent == [b""]
 
 
-@pytest.mark.parametrize("reply", BAD_REPLIES, ids=BAD_REPLY_IDS)
-def test_flow_with_any_other_reply_is_an_error(material, reply):
-    result, sent = _flow_against_reply(material, reply)
+def test_flow_joins_a_reply_split_across_sends(material):
+    _, sent = _flow_against_reply(material, b"te", b"st\n")
+    assert sent == [b"\x16"]
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(b'{"action": "test"}\n',), (b"tes",), (), (b"testing\n",)],
+    ids=["json-envelope", "cut-short", "closed-at-once", "unknown-action"],
+)
+def test_flow_with_any_other_reply_is_an_error(material, parts):
+    result, sent = _flow_against_reply(material, *parts)
     assert result.accepted is None
-    assert "is no test or skip action" in result.error
+    assert "is no test or skip line" in result.error
     assert sent == [b""]  # no ClientHello

@@ -240,13 +240,6 @@ def test_build_prompt_variants():
         build_prompt(snippet, variant="P3")
 
 
-def test_build_prompt_embeds_examples():
-    snippet = tm_snippet("class C { void checkServerTrusted(X[] c, String a) { return; } }")
-    example = tm_snippet("class E { void checkServerTrusted(X[] c, String a) {} }", "ex")
-    prompt = build_prompt(snippet, examples=[(example, {"T1"}, "empty body")])
-    assert "Example 1" in prompt and "Comment: empty body" in prompt
-
-
 def test_parse_completion_paths():
     assert parse_completion("T2-A,T2-E", "trust_manager") == {"T2-A", "T2-E"}
     assert parse_completion("T2-A,T2-B", "trust_manager") == {"T2-A"}

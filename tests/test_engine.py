@@ -207,7 +207,8 @@ def test_t2_engine_builds_one_context_for_every_host(context_loads, ledger_file)
 
 def test_skipped_flows_are_recorded_and_not_intercepted(monkeypatch, context_loads, ledger_file):
     """A flow the once-per-host policy skips gets no leaf, context or handshake:
-    each engine records it skipped, with no TLS version, and its client sees no verdict."""
+    each engine records it skipped, with no TLS version, and its client sees no verdict.
+    A raw client reads exactly the line ``skip`` and then the engine's close."""
     material = MitmMaterial.generate()
     wraps = []
     monkeypatch.setattr(appsim, "_client_context", lambda: wraps.append(1))
@@ -227,8 +228,11 @@ def test_skipped_flows_are_recorded_and_not_intercepted(monkeypatch, context_loa
                 material.client_store,
                 material.config.now,
             )
+            with socket.create_connection(engine.address, timeout=5) as sock:
+                sock.sendall(_preamble())
+                assert _read_to_eof(sock) == b"skip\n"
         assert (result.route, result.accepted, result.error) == ("MITM", None, None)
-        assert [(r.outcome, r.tls_version) for r in read()[1:]] == [("skipped", "unknown")]
+        assert [(r.outcome, r.tls_version) for r in read()[1:]] == [("skipped", "unknown")] * 2
     assert not material._leaves  # no leaf was issued
     assert context_loads == []
     assert wraps == []
@@ -643,7 +647,8 @@ def test_each_client_leaves_one_record_with_the_verdict_it_gave(
 
 
 def test_client_hello_sent_with_the_preamble_is_left_for_the_handshake(material, ledger_file):
-    """A ClientHello in the same segment as the preamble is not read away with it."""
+    """A ClientHello in the same segment as the preamble is not read away with it,
+    and exactly the line ``test`` comes before the handshake."""
     path, read = ledger_file
     ledger = FlowLedger(path)
     incoming, outgoing = ssl.MemoryBIO(), ssl.MemoryBIO()
@@ -676,7 +681,7 @@ def test_client_hello_sent_with_the_preamble_is_left_for_the_handshake(material,
                 except ssl.SSLWantReadError:
                     pass
         elapsed = time.perf_counter() - started
-    assert json.loads(reply) == {"action": "test"}
+    assert reply == b"test"
     assert [r.outcome for r in read()] == ["vulnerable"]
     assert elapsed < 1.0
 

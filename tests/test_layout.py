@@ -1,10 +1,16 @@
-"""Every function, class and method in src/mitmscan is used by src/mitmscan."""
+"""Every function, class and method in src/mitmscan is used by src/mitmscan, and
+every per-layer key the benchmark reads names one."""
 
 import ast
+import dataclasses
+import importlib
+import re
+import types
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mitmscan"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mitmscan"
 
 # Names no module refers to, each kept for a reason the code cannot show.
 KEPT = {
@@ -49,3 +55,34 @@ def test_no_code_only_tests_use():
                 unused[node.name] = f"{module}:{node.lineno}"
     assert {name: at for name, at in unused.items() if name not in KEPT} == {}
     assert set(unused) == set(KEPT), "a KEPT name is used now, or gone"
+
+
+def _traced(key: str) -> bool:
+    """Whether perfbench's tracer wraps the function ``key`` names: a public function
+    defined in its module, or a public method (or ``__init__`` of a class that is not a
+    dataclass) in its own class's ``__dict__``."""
+    module_name, *path = key.split(".")
+    module = importlib.import_module(f"mitmscan.{module_name}")
+    *owner, name = path
+    if name.startswith("_") and name != "__init__":
+        return False
+    if not owner:
+        fn = vars(module).get(name)
+        return isinstance(fn, types.FunctionType) and fn.__module__ == module.__name__
+    cls = vars(module).get(owner[0])
+    return (
+        len(owner) == 1
+        and isinstance(cls, type)
+        and cls.__module__ == module.__name__
+        and isinstance(vars(cls).get(name), (types.FunctionType, classmethod, staticmethod))
+        and not (name == "__init__" and dataclasses.is_dataclass(cls))
+    )
+
+
+def test_every_benchmark_layer_key_names_a_traced_function():
+    """A key that names no wrapped function reads 0 with no error, say after a method
+    moves into a base class."""
+    text = (ROOT / "perfbench" / "run.py").read_text()
+    keys = set(re.findall(r'\b(?:total|count)\(t, "([^"]+)"\)', text))
+    assert len(keys) == 19, "perfbench/run.py's layer keys changed: update this count"
+    assert sorted(key for key in keys if not _traced(key)) == []
