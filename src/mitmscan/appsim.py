@@ -234,42 +234,39 @@ def perform_flow(
     is recorded by the engine and not intercepted: its ``accepted`` and
     ``error`` are None. Any other reply, or a close before five bytes, is a
     flow error, with no ClientHello sent. On ``test`` the client decides on
-    the chain the handshake served.
+    the chain the handshake served, sends a request if it accepts it, and
+    then shuts its write side and reads to the engine's close.
     """
     try:
         raw = socket.create_connection(engine_addr, timeout=FLOW_TIMEOUT_SECONDS)
     except OSError as exc:
         return FlowResult(spec.fqdn, spec.channel, "MITM", None, f"connect: {exc}")
     try:
-        # Finished and the request go out back to back; see Listener._work.
-        raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        preamble = {"app_id": app.app_id, "fqdn": spec.fqdn, "channel": spec.channel}
-        raw.sendall(json.dumps(preamble).encode() + b"\n")
-        reply = b""
-        while len(reply) < 5 and (chunk := raw.recv(5 - len(reply))):
-            reply += chunk
-        if reply == b"skip\n":
-            return FlowResult(spec.fqdn, spec.channel, "MITM", None)
-        if reply != b"test\n":
-            raise ValueError(f"engine reply {reply!r} is no test or skip line")
-        tls = _client_context().wrap_socket(raw, server_hostname=spec.fqdn)
-        chain = served_chain(tls)
-        accepted = client_accepts(app.profile, chain, spec.fqdn, spec.channel, store, now)
-        if accepted:
-            tls.sendall(b"ping")
-            tls.recv(64)
-        else:
-            # The engine records the flow before it closes, so reading to its
-            # EOF (past any alert it sends) orders this flow before the next.
-            tls.shutdown(socket.SHUT_WR)
-            while tls.recv(4096):
-                pass
-        tls.close()
+        with raw:
+            # Finished and the request go out back to back; see Listener._work.
+            raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            preamble = {"app_id": app.app_id, "fqdn": spec.fqdn, "channel": spec.channel}
+            raw.sendall(json.dumps(preamble).encode() + b"\n")
+            reply = b""
+            while len(reply) < 5 and (chunk := raw.recv(5 - len(reply))):
+                reply += chunk
+            if reply == b"skip\n":
+                return FlowResult(spec.fqdn, spec.channel, "MITM", None)
+            if reply != b"test\n":
+                raise ValueError(f"engine reply {reply!r} is no test or skip line")
+            with _client_context().wrap_socket(raw, server_hostname=spec.fqdn) as tls:
+                chain = served_chain(tls)
+                accepted = client_accepts(app.profile, chain, spec.fqdn, spec.channel, store, now)
+                if accepted:
+                    tls.sendall(b"ping")
+                # The engine records the flow before it closes, so reading to its
+                # EOF (past any alert it sends) orders this flow before the next.
+                tls.shutdown(socket.SHUT_WR)
+                while tls.recv(4096):
+                    pass
         return FlowResult(spec.fqdn, spec.channel, "MITM", accepted)
     except (OSError, ValueError) as exc:  # ssl.SSLError is an OSError
         return FlowResult(spec.fqdn, spec.channel, "MITM", None, str(exc))
-    finally:
-        raw.close()
 
 
 def execute_session(

@@ -13,11 +13,10 @@ and clients decide on the chain that handshake served.
 A verdict rests on what the client did: data after the handshake is
 ``vulnerable``, an alert in it or a clean close right after it is ``secure``,
 and anything else, such as a timeout, a reset or bytes that are not TLS 1.2+,
-is ``inconclusive``. The engine records a flow before it sends a skip reply,
-echoes the client's data or closes the connection, so a finished flow is in
-the ledger by the time its client sees the flow end, and a client's next
-flow decides on it. No lock is held across a handshake or a wait: one idle
-or broken client holds up no other.
+is ``inconclusive``. The engine records a flow before it sends a skip reply
+or closes the connection, so a finished flow is in the ledger by the time its
+client sees the flow end, and a client's next flow decides on it. No lock is
+held across a handshake or a wait: one idle or broken client holds up no other.
 """
 
 from __future__ import annotations
@@ -159,12 +158,12 @@ def _read_preamble(sock: socket.socket, deadline: float) -> tuple[str, str, str]
             problem = "not a JSON object"
         elif not isinstance(meta.get("app_id"), str) or not isinstance(meta.get("fqdn"), str):
             problem = "without a string app_id and fqdn"
-        elif meta.get("channel", "native") not in CHANNELS:
-            problem = f"with unknown channel {meta['channel']!r}"
+        elif (channel := meta.get("channel")) not in CHANNELS:
+            problem = f"with unknown channel {channel!r}"
         elif not is_requestable(meta["fqdn"]):
             problem = f"with host {meta['fqdn']!r}, which no flow can request"
         else:
-            return meta["app_id"], normalize_fqdn(meta["fqdn"]), meta.get("channel", "native")
+            return meta["app_id"], normalize_fqdn(meta["fqdn"]), channel
     log.warning("dropping connection: preamble %s", problem)
     return None
 
@@ -256,11 +255,11 @@ class Listener:
 class MitmEngine:
     """One engine instance runs one MitM test kind against incoming flows.
 
-    A flow is in the ledger when its client sees it end: the skip reply, the
-    echo of its request, or the connection's close. ``stop()`` wakes every
-    idle listener worker at once and waits for each one still serving a
-    connection, so the flows of clients that left without waiting for the end
-    are in the ledger when it returns too. Each connection has one deadline,
+    A flow is in the ledger when its client sees it end: the skip reply or
+    the connection's close. ``stop()`` wakes every idle listener worker at
+    once and waits for each one still serving a connection, so the flows of
+    clients that left without waiting for the end are in the ledger when it
+    returns too. Each connection has one deadline,
     ``max(4 x grace, 5 s)`` after it is accepted: every wait, from the
     preamble to the end of the grace wait, gets no more than the time left.
     """
@@ -319,7 +318,7 @@ class MitmEngine:
         app_id, fqdn, channel = preamble
         decision = self.ledger.decide_retest(app_id, fqdn, self.policy, self.test)
         reply = decision.encode() + b"\n"
-        outcome, version, data, tls = "skipped", "unknown", b"", None
+        outcome, version, tls = "skipped", "unknown", None
         if decision == "test":
             outcome, ctx = "inconclusive", self.material.serve(forge_for(self.test, fqdn, self.material))
             try:
@@ -334,8 +333,7 @@ class MitmEngine:
                     tls = ctx.wrap_socket(sock, server_side=True)
                     version = {"TLSv1.2": "TLS1.2", "TLSv1.3": "TLS1.3"}.get(tls.version(), "unknown")
                     tls.settimeout(min(self.grace_seconds, _time_left(deadline)))
-                    data = tls.recv(4096)
-                    outcome = "vulnerable" if data else "secure"
+                    outcome = "vulnerable" if tls.recv(4096) else "secure"
             except OSError as exc:
                 log.debug("flow ended before its data: %s", exc)
                 if "ALERT" in str(getattr(exc, "reason", "")):  # the client rejected the chain
@@ -350,9 +348,7 @@ class MitmEngine:
             outcome=outcome,
         )
         if tls is not None:
-            with tls, contextlib.suppress(OSError):
-                if data:
-                    tls.sendall(data)  # echo, so clients can run request/response
+            tls.close()
         elif decision == "skip":
             with contextlib.suppress(OSError):
                 sock.sendall(reply)  # the flow is recorded: the client may start its next

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from .appsim import Action, FlowSpec, Screen, SyntheticApp
@@ -108,7 +109,7 @@ def save_fleet(apps: list[SyntheticApp], path: str | Path) -> None:
         data.append(
             {
                 "app_id": app.app_id,
-                "profile": app.profile.as_dict(),
+                "profile": asdict(app.profile),
                 "fqdns": app.fqdns(),
             }
         )
@@ -125,7 +126,5 @@ def load_fleet(path: str | Path) -> list[SyntheticApp]:
         if entry["app_id"] in app_ids:
             raise ValueError(f"app_id {entry['app_id']!r} is named twice")
         app_ids.add(entry["app_id"])
-        apps.append(
-            _app(entry["app_id"], entry["fqdns"], ClientProfile.from_dict(entry["profile"]))
-        )
+        apps.append(_app(entry["app_id"], entry["fqdns"], ClientProfile(**entry["profile"])))
     return apps

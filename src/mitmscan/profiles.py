@@ -9,7 +9,7 @@ against a pure function.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 from cryptography import x509
 from cryptography.x509.oid import NameOID
@@ -96,13 +96,6 @@ class ClientProfile:
         }
         if missing:
             raise ValueError(f"condition_params missing for {sorted(missing)}")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClientProfile":
-        return cls(**data)
 
 
 def _issuer_cn(cert: x509.Certificate) -> str:

@@ -1,9 +1,12 @@
+import gc
 import random
 import socket
+import threading
 import time
 
 import pytest
 
+from mitmscan import appsim
 from mitmscan.appsim import (
     Action,
     FlowSpec,
@@ -16,7 +19,7 @@ from mitmscan.appsim import (
     parse_action_reply,
     perform_flow,
 )
-from mitmscan.engine import Listener, MitmEngine
+from mitmscan.engine import Listener, MitmEngine, forge_for
 from mitmscan.flowledger import POLICY_ALWAYS, FlowLedger
 from mitmscan.profiles import ClientProfile
 
@@ -262,3 +265,35 @@ def test_flow_with_any_other_reply_is_an_error(material, parts):
     assert result.accepted is None
     assert "is no test or skip line" in result.error
     assert sent == [b""]  # no ClientHello
+
+
+@pytest.mark.parametrize("trust_behavior", ["T0", "T1"], ids=["rejecting", "accepting"])
+def test_flow_stalled_after_the_handshake_closes_its_socket(material, monkeypatch, trust_behavior):
+    """A flow whose engine completes the handshake and then neither reads nor closes
+    is a flow error once its wait runs out, and leaves no socket to the finalizer."""
+    monkeypatch.setattr(appsim, "FLOW_TIMEOUT_SECONDS", 0.3)
+    ctx = material.serve(forge_for("T1", "a.example.com", material))
+    done = threading.Event()
+
+    def stall(conn):
+        preamble = b""
+        while not preamble.endswith(b"\n"):
+            preamble += conn.recv(4096)
+        conn.sendall(b"test\n")
+        with ctx.wrap_socket(conn, server_side=True):
+            done.wait(5)
+
+    stub = Listener(stall, timeout=5.0)
+    address = stub.start()
+    app = two_screen_app()
+    app.profile = ClientProfile(trust_behavior=trust_behavior, hostname_behavior="H1")
+    try:
+        result = perform_flow(
+            app, FlowSpec("a.example.com"), address, material.client_store, material.config.now,
+        )
+        gc.collect()  # a socket left open would warn here, and the warning is an error
+    finally:
+        done.set()
+        stub.stop()
+    assert result.accepted is None
+    assert "timed out" in result.error

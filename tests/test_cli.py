@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -85,7 +86,7 @@ def test_trailing_dot_host_is_tested_under_its_normal_name(tmp_path):
     fleet_path.write_text(json.dumps([{
         "app_id": "com.dot.app",
         "fqdns": ["A.Example.COM.", "b.example.com"],
-        "profile": ClientProfile(trust_behavior="T1", hostname_behavior="H1").as_dict(),
+        "profile": asdict(ClientProfile(trust_behavior="T1", hostname_behavior="H1")),
     }]))
     out = tmp_path / "out"
     assert main(["scan", "--fleet", str(fleet_path), "--strategy", "scripted", "--policy",
@@ -120,10 +121,10 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     # app id named twice
     def entry(**fields):
         return {"app_id": "com.bad.app", "fqdns": ["a.example.com"],
-                "profile": ClientProfile().as_dict(), **fields}
+                "profile": asdict(ClientProfile()), **fields}
 
     def profile(**fields):
-        return {**ClientProfile().as_dict(), **fields}
+        return {**asdict(ClientProfile()), **fields}
 
     bad_fleets = []
     for name, entries in [
@@ -158,7 +159,7 @@ def test_hosts_sharing_a_first_label_are_each_scanned(tmp_path):
     fleet_path.write_text(json.dumps([{
         "app_id": "com.two.api",
         "fqdns": ["api.a.example.com", "api.b.example.com"],
-        "profile": ClientProfile().as_dict(),
+        "profile": asdict(ClientProfile()),
     }]))
     out = tmp_path / "out"
     assert main(["scan", "--fleet", str(fleet_path), "--strategy", "scripted", "--policy",
@@ -271,7 +272,7 @@ def test_external_llm_backend_drives_scan(tmp_path, monkeypatch, caplog):
     fleet_path.write_text(json.dumps([{
         "app_id": "com.llm.app",
         "fqdns": ["a.example.com", "b.example.com"],
-        "profile": ClientProfile().as_dict(),
+        "profile": asdict(ClientProfile()),
     }]))
     out = tmp_path / "out"
     with caplog.at_level(logging.WARNING):

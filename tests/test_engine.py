@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import importlib
 import json
 import logging
 import socket
@@ -10,6 +11,7 @@ import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -243,9 +245,9 @@ def test_engine_issues_no_session_ticket(material, monkeypatch, ledger_file):
     sessions = []
 
     class RecordingSocket(ssl.SSLSocket):
-        def close(self):
-            sessions.append(self.session)
-            super().close()
+        def shutdown(self, how):
+            sessions.append(self.session)  # shutdown() drops the TLS state, session included
+            super().shutdown(how)
 
     ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
     ctx.check_hostname = False
@@ -258,6 +260,19 @@ def test_engine_issues_no_session_ticket(material, monkeypatch, ledger_file):
     assert result.accepted is True
     assert [r.outcome for r in records] == ["vulnerable"]
     assert [s.has_ticket for s in sessions] == [False]
+
+
+def test_benchmark_openssl_client_decides_on_the_live_engine(material, monkeypatch):
+    """perfbench's OpenSSL client (CERT_REQUIRED, check_hostname) still speaks the wire:
+    it rejects the T1 and T2 chains and accepts the T3 one."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    checks = importlib.import_module("checks")
+    verdicts = checks.ssl_verdicts(material, ["svc.example.com"])
+    assert verdicts == {
+        ("T1", "svc.example.com"): False,
+        ("T2", "svc.example.com"): False,
+        ("T3", "svc.example.com"): True,
+    }
 
 
 def test_accepting_flows_wait_for_no_delayed_ack(material):
@@ -471,7 +486,8 @@ def test_listener_serves_the_connection_when_no_worker_can_start(monkeypatch, ca
 
 
 def _preamble(**fields) -> bytes:
-    return json.dumps({"app_id": "com.test.app", "fqdn": "svc.example.com", **fields}).encode() + b"\n"
+    preamble = {"app_id": "com.test.app", "fqdn": "svc.example.com", "channel": "native", **fields}
+    return json.dumps(preamble).encode() + b"\n"
 
 
 def _after_reply(address, app_id) -> socket.socket:
@@ -494,12 +510,13 @@ def _after_reply(address, app_id) -> socket.socket:
         (b"[1]\n", "not a JSON object"),
         (_preamble(fqdn=5), "without a string app_id and fqdn"),
         (_preamble(channel="bogus"), "with unknown channel 'bogus'"),
+        (b'{"app_id": "com.test.app", "fqdn": "svc.example.com"}\n', "with unknown channel None"),
         (_preamble(fqdn="a..example.com"), "host 'a..example.com', which no flow can request"),
         (_preamble(fqdn="café.example.com"), "host 'café.example.com', which no flow can"),
         (_preamble(fqdn="*.example.com"), "host '*.example.com', which no flow can request"),
     ],
     ids=["oversized", "not-json", "not-an-object", "fqdn-not-a-string", "unknown-channel",
-         "empty-label", "non-ascii-host", "wildcard-host"],
+         "missing-channel", "empty-label", "non-ascii-host", "wildcard-host"],
 )
 def test_malformed_preamble_is_dropped_and_logged(material, caplog, preamble, problem, ledger_file):
     """A bad preamble gets no reply and no record, one warning and no traceback."""
@@ -573,7 +590,7 @@ def _handshake(address) -> ssl.SSLSocket:
 def _send_ping(address):
     with _handshake(address) as tls:
         tls.sendall(b"ping")
-        assert tls.recv(64) == b"ping"
+        assert _read_to_eof(tls) == b""  # the engine records the flow and closes
 
 
 def _close_after_handshake(address):
@@ -648,7 +665,8 @@ def test_each_client_leaves_one_record_with_the_verdict_it_gave(
 
 def test_client_hello_sent_with_the_preamble_is_left_for_the_handshake(material, ledger_file):
     """A ClientHello in the same segment as the preamble is not read away with it,
-    and exactly the line ``test`` comes before the handshake."""
+    exactly the line ``test`` comes before the handshake, and the engine's close
+    ends the flow after the request."""
     path, read = ledger_file
     ledger = FlowLedger(path)
     incoming, outgoing = ssl.MemoryBIO(), ssl.MemoryBIO()
@@ -673,13 +691,7 @@ def test_client_hello_sent_with_the_preamble_is_left_for_the_handshake(material,
                     incoming.write(sock.recv(4096))
             tls.write(b"ping")
             sock.sendall(outgoing.read())
-            echo = b""
-            while echo != b"ping":
-                incoming.write(sock.recv(4096))
-                try:
-                    echo += tls.read(4096)
-                except ssl.SSLWantReadError:
-                    pass
+            assert _read_to_eof(sock) == b""  # the engine records the flow and closes
         elapsed = time.perf_counter() - started
     assert reply == b"test"
     assert [r.outcome for r in read()] == ["vulnerable"]

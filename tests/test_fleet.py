@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 from mitmscan.fleet import demo_fleet, expected_truth_table
 from mitmscan.profiles import HOSTNAME_BEHAVIORS, TRUST_BEHAVIORS, WEBVIEW_BEHAVIORS, ClientProfile
 
@@ -23,8 +25,8 @@ def test_demo_fleet_has_one_app_per_flawed_behavior_code(material):
                 profile.webview_behavior) == expected[code[0]], code
         assert profile.pinning == "none"
     assert [app.profile.pinning for app in pinning] == ["pin_leaf", "pin_root"]
-    assert all(app.profile.as_dict() == {**ClientProfile().as_dict(), "pinning": app.profile.pinning,
-                                         "condition_params": app.profile.condition_params}
+    assert all(asdict(app.profile) == {**asdict(ClientProfile()), "pinning": app.profile.pinning,
+                                       "condition_params": app.profile.condition_params}
                for app in pinning)
     # under the forged chains of T1 and T2 only a flawed app can be vulnerable
     table = expected_truth_table(apps, material)

@@ -1,5 +1,6 @@
 import datetime
 import importlib.util
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,7 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         ClientProfile(hostname_behavior="H2A")  # missing allowlist param
     p = ClientProfile(hostname_behavior="H2A", condition_params={"hostname_allowlist": []})
-    assert ClientProfile.from_dict(p.as_dict()) == p
+    assert ClientProfile(**asdict(p)) == p
 
 
 @pytest.mark.parametrize("params", [
@@ -177,7 +178,7 @@ def test_client_accepts_agrees_with_the_independent_table(material, pin_root):
     disagreements = []
     space = expect.profile_space([fqdn], pin)
     for data in space:
-        profile = ClientProfile.from_dict(data)
+        profile = ClientProfile(**data)
         for test, chain in chains.items():
             for channel in CHANNELS:
                 want = expect.accepts(data, test, fqdn, channel, fingerprints)
