@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import datetime
 import hashlib
-import logging
 from dataclasses import dataclass, field
 
 from cryptography import x509
@@ -17,8 +16,6 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.x509.oid import NameOID
-
-log = logging.getLogger(__name__)
 
 # Fixed epoch used when no explicit clock is configured; keeps fixtures stable.
 DEFAULT_NOW = datetime.datetime(2025, 4, 1, tzinfo=datetime.timezone.utc)
@@ -77,12 +74,6 @@ class TrustStore:
 
     def __iter__(self):
         return iter(self._roots.values())
-
-    def find_issuer(self, cert: x509.Certificate) -> RootAuthority | None:
-        for root in self._roots.values():
-            if root.self_signed_cert.subject == cert.issuer:
-                return root
-        return None
 
 
 def fingerprint(cert: x509.Certificate) -> str:
@@ -208,30 +199,22 @@ def issue_leaf(
 
 
 def verify_signature(cert: x509.Certificate, issuer_cert: x509.Certificate) -> bool:
+    """Whether ``issuer_cert`` names and signs ``cert``, whatever its key type."""
     try:
-        issuer_key = issuer_cert.public_key()
-        issuer_key.verify(cert.signature, cert.tbs_certificate_bytes)
-        return True
-    except InvalidSignature:
+        cert.verify_directly_issued_by(issuer_cert)
+    except (InvalidSignature, ValueError, TypeError):
         return False
-    except Exception as exc:
-        log.debug("signature verification errored: %s", exc)
-        return False
+    return True
 
 
-def verify_chain(
-    chain: list[x509.Certificate], store: TrustStore, now: datetime.datetime
-) -> bool:
-    """What correct platform validation concludes: anchored, signed, in date."""
+def verify_chain(chain: list[x509.Certificate], store: TrustStore, now: datetime.datetime) -> bool:
+    """What correct platform validation concludes: in date, named and signed by a store root."""
     if not chain:
         return False
     leaf = chain[0]
-    root = store.find_issuer(leaf)
-    if root is None:
+    if not leaf.not_valid_before_utc <= now <= leaf.not_valid_after_utc:
         return False
-    if not verify_signature(leaf, root.self_signed_cert):
-        return False
-    return leaf.not_valid_before_utc <= now <= leaf.not_valid_after_utc
+    return any(verify_signature(leaf, root.self_signed_cert) for root in store)
 
 
 def cert_san_names(cert: x509.Certificate) -> list[str]:

@@ -1,10 +1,15 @@
 import datetime
 
 import pytest
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.x509.oid import NameOID
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mitmscan.certforge import (
+    DEFAULT_NOW,
     CertConfig,
     CertSetupError,
     InvalidSanError,
@@ -18,6 +23,7 @@ from mitmscan.certforge import (
     verify_chain,
     verify_signature,
 )
+from mitmscan.profiles import ClientProfile, trust_accepts
 
 UTC = datetime.timezone.utc
 
@@ -89,9 +95,33 @@ def test_signature_verification():
 def test_trust_store_membership_by_fingerprint():
     ca = make_root("ca")
     clone = make_root("ca")  # same seed, same bytes
-    store = TrustStore([ca])
     assert [root.fingerprint for root in TrustStore([ca, clone])] == [clone.fingerprint]
-    assert store.find_issuer(issue_leaf(ca, "x.example.com", ["x.example.com"], 7).cert) is ca
+
+
+def _ecdsa_cert(cn: str, key, issuer_cn: str, issuer_key) -> x509.Certificate:
+    return (
+        x509.CertificateBuilder()
+        .subject_name(x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, cn)]))
+        .issuer_name(x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, issuer_cn)]))
+        .public_key(key.public_key())
+        .serial_number(1)
+        .not_valid_before(DEFAULT_NOW - datetime.timedelta(days=1))
+        .not_valid_after(DEFAULT_NOW + datetime.timedelta(days=30))
+        .sign(issuer_key, hashes.SHA256())
+    )
+
+
+def test_signature_check_is_agnostic_of_the_key_type():
+    """An ECDSA P-256 chain is judged as an Ed25519 one: the issuer's signature
+    decides, and T2-D's unanchored walk accepts a self-consistent chain."""
+    root_key, other_key, leaf_key = (ec.derive_private_key(n, ec.SECP256R1()) for n in (1, 2, 3))
+    root = _ecdsa_cert("ec-ca", root_key, "ec-ca", root_key)
+    other = _ecdsa_cert("ec-ca", other_key, "ec-ca", other_key)
+    leaf = _ecdsa_cert("ec.example.com", leaf_key, "ec-ca", root_key)
+    assert verify_signature(leaf, root)
+    assert not verify_signature(leaf, other)
+    t2d = ClientProfile(trust_behavior="T2D")
+    assert trust_accepts(t2d, [leaf, root], TrustStore(), DEFAULT_NOW)
 
 
 def test_verify_chain_time_window():
@@ -121,8 +151,8 @@ def test_fingerprint_shape():
 def test_verify_chain_iff_issuer_and_window(seed, in_store, day_offset):
     cfg = CertConfig(seed=seed)
     ca = make_root("prop-ca", config=cfg)
-    decoy = make_root("decoy", config=cfg)
-    store = TrustStore([ca] if in_store else [decoy])
+    decoy = make_root("prop-ca", config=CertConfig(seed=seed + 1))  # same name, other key
+    store = TrustStore([decoy, ca] if in_store else [decoy])
     leaf = issue_leaf(ca, "p.example.com", ["p.example.com"], 14, cfg)
     now = cfg.now + datetime.timedelta(days=day_offset)
     in_window = leaf.cert.not_valid_before_utc <= now <= leaf.cert.not_valid_after_utc

@@ -162,12 +162,13 @@ def _load_expect():
     return module
 
 
+@pytest.mark.parametrize("fqdn", ["svc.example.com", "a.svc.example.com", "example.com"])
 @pytest.mark.parametrize("pin_root", [False, True], ids=["pin-names-no-chain", "pin-lab-root"])
-def test_client_accepts_agrees_with_the_independent_table(material, pin_root):
+def test_client_accepts_agrees_with_the_independent_table(material, pin_root, fqdn):
     """client_accepts and perfbench's expectation table decide alike on every
-    profile of the benchmark's space, under each test and channel."""
+    profile of the benchmark's space, under each test and channel, for a host,
+    its subdomain and its parent."""
     expect = _load_expect()
-    fqdn = "svc.example.com"
     roots = (material.untrusted_root, material.lab_trusted_root, material.installed_root)
     fingerprints = {root.name: root.fingerprint for root in roots}
     pin = material.lab_trusted_root.fingerprint if pin_root else "0" * 64
