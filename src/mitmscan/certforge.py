@@ -21,14 +21,6 @@ from cryptography.x509.oid import NameOID
 DEFAULT_NOW = datetime.datetime(2025, 4, 1, tzinfo=datetime.timezone.utc)
 
 
-class CertSetupError(Exception):
-    """Fatal failure while generating certificate material."""
-
-
-class InvalidSanError(ValueError):
-    """A SAN entry is neither a valid FQDN nor a single leftmost-label wildcard."""
-
-
 @dataclass(frozen=True)
 class CertConfig:
     """Deterministic generation parameters shared by all material."""
@@ -61,19 +53,8 @@ class LeafCertificate:
         return cert_pem(self.cert) + cert_pem(self.issuer.self_signed_cert)
 
 
-class TrustStore:
-    """A set of root authorities, one per fingerprint."""
-
-    def __init__(self, roots: list[RootAuthority] | None = None):
-        self._roots: dict[str, RootAuthority] = {}
-        for root in roots or []:
-            self.add(root)
-
-    def add(self, root: RootAuthority) -> None:
-        self._roots[root.fingerprint] = root
-
-    def __iter__(self):
-        return iter(self._roots.values())
+# The roots a client trusts.
+TrustStore = tuple[RootAuthority, ...]
 
 
 def fingerprint(cert: x509.Certificate) -> str:
@@ -126,15 +107,14 @@ def _derive_serial(config: CertConfig, purpose: str) -> int:
 
 def _sign(
     config: CertConfig,
-    cn: str,
+    subject: x509.Name,
     key: Ed25519PrivateKey,
     serial_purpose: str,
     validity_days: int,
     extensions: list[tuple[x509.ExtensionType, bool]],
     ca: RootAuthority | None,
 ) -> x509.Certificate:
-    """A certificate for ``key`` named ``cn``, signed by ``ca`` or else self-signed."""
-    subject = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, cn)])
+    """A certificate for ``key`` named ``subject``, signed by ``ca`` or else self-signed."""
     builder = (
         x509.CertificateBuilder()
         .subject_name(subject)
@@ -152,7 +132,7 @@ def _sign(
 def make_root(name: str, config: CertConfig | None = None) -> RootAuthority:
     """Create a self-signed CA; byte-identical across calls with the same seed."""
     if not name:
-        raise CertSetupError("root authority name must be non-empty")
+        raise ValueError("root authority name must be non-empty")
     config = config or CertConfig()
     key = _derive_key(config, f"root:{name}")
     usage = x509.KeyUsage(
@@ -167,7 +147,8 @@ def make_root(name: str, config: CertConfig | None = None) -> RootAuthority:
         decipher_only=False,
     )
     extensions = [(x509.BasicConstraints(ca=True, path_length=0), True), (usage, True)]
-    cert = _sign(config, name, key, f"root:{name}", 3650, extensions, None)
+    subject = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, name)])
+    cert = _sign(config, subject, key, f"root:{name}", 3650, extensions, None)
     return RootAuthority(name=name, key_pair=key, self_signed_cert=cert)
 
 
@@ -183,18 +164,22 @@ def issue_leaf(
     if validity_days <= 0:
         raise ValueError("validity_days must be positive")
     if not sans:
-        raise InvalidSanError("san_list must be non-empty")
+        raise ValueError("san_list must be non-empty")
     for entry in sans:
         if not is_valid_san(entry):
-            raise InvalidSanError(f"invalid SAN entry: {entry!r}")
+            raise ValueError(f"invalid SAN entry: {entry!r}")
 
     names = ",".join(sans)
     key = _derive_key(config, f"leaf:{cn}:{names}")
+    # A CN over RFC 5280's 64 characters is left out, as mitmproxy's dummy_cert does:
+    # the SAN names the host, and is critical under an empty subject (RFC 5280 4.2.1.6).
+    subject = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, cn)] if len(cn) <= 64 else [])
     extensions = [
         (x509.BasicConstraints(ca=False, path_length=None), True),
-        (x509.SubjectAlternativeName([x509.DNSName(s) for s in sans]), False),
+        (x509.SubjectAlternativeName([x509.DNSName(s) for s in sans]), not subject),
     ]
-    cert = _sign(config, cn, key, f"leaf:{ca.name}:{cn}:{names}", validity_days, extensions, ca)
+    purpose = f"leaf:{ca.name}:{cn}:{names}"
+    cert = _sign(config, subject, key, purpose, validity_days, extensions, ca)
     return LeafCertificate(cert=cert, key_pair=key, issuer=ca)
 
 

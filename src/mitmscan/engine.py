@@ -87,7 +87,7 @@ class MitmMaterial:
             untrusted_root=untrusted,
             lab_trusted_root=lab,
             installed_root=installed,
-            client_store=TrustStore([lab, installed]),
+            client_store=(lab, installed),
             config=config,
         )
 
@@ -320,8 +320,9 @@ class MitmEngine:
         reply = decision.encode() + b"\n"
         outcome, version, tls = "skipped", "unknown", None
         if decision == "test":
-            outcome, ctx = "inconclusive", self.material.serve(forge_for(self.test, fqdn, self.material))
+            outcome = "inconclusive"  # also when the leaf cannot be forged or served
             try:
+                ctx = self.material.serve(forge_for(self.test, fqdn, self.material))
                 sock.settimeout(_time_left(deadline))
                 sock.sendall(reply)
                 # A client gone before its ClientHello never saw a certificate. Wrapping

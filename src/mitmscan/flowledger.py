@@ -56,6 +56,9 @@ class FlowRecord:
     sni_less: bool = False
 
     def __post_init__(self):
+        # Later stages sort these fields or call string methods on them.
+        if not (type(self.app_id) is str and type(self.fqdn) is str and type(self.ts_mono) is int):
+            raise ValueError(f"app_id, fqdn or ts_mono of the wrong type in flow {vars(self)}")
         self.fqdn = normalize_fqdn(self.fqdn)
         if self.transport not in TRANSPORTS:
             raise ValueError(f"bad transport: {self.transport}")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .flowledger import FlowRecord, normalize_fqdn, parse_json_line
+from .metrics import rate
 from .taxonomy import INTERFACE_KINDS
 
 
@@ -29,6 +30,19 @@ class ValidationEvent:
     cert_sans: list[str] | None = None
 
     def __post_init__(self):
+        # Later stages sort these fields or call string methods on them.
+        host, cn, sans = self.hostname_param, self.cert_cn, self.cert_sans
+        if not (
+            type(self.app_id) is str
+            and type(self.code_location) is str
+            and (host is None or type(host) is str)
+            and (cn is None or type(cn) is str)
+            and (sans is None or type(sans) is list)
+        ):
+            raise ValueError(f"event {self.event_id!r} has a field of the wrong type")
+        for name in sans or ():
+            if type(name) is not str:
+                raise ValueError(f"event {self.event_id!r} has a SAN that is no string: {name!r}")
         if self.interface_kind not in INTERFACE_KINDS:
             raise ValueError(f"bad interface_kind: {self.interface_kind}")
         if self.verdict not in ("accepted", "rejected"):
@@ -175,12 +189,9 @@ def coverage(
     for f in vulnerable_flows:
         located_by_app.setdefault(f.app_id, []).append(f.identity in attributed)
 
-    def ratio(num: int, den: int) -> float | None:
-        return None if den == 0 else num / den  # int division rounds the exact ratio
-
     return {
-        "fqdn_cov": ratio(len(located_fqdns), len(vuln_fqdns)),
-        "flow_cov": ratio(len(located), len(vulnerable_flows)),
-        "app_all": ratio(sum(all(v) for v in located_by_app.values()), len(located_by_app)),
-        "app_one": ratio(sum(any(v) for v in located_by_app.values()), len(located_by_app)),
+        "fqdn_cov": rate(len(located_fqdns), len(vuln_fqdns)),
+        "flow_cov": rate(len(located), len(vulnerable_flows)),
+        "app_all": rate(sum(all(v) for v in located_by_app.values()), len(located_by_app)),
+        "app_one": rate(sum(any(v) for v in located_by_app.values()), len(located_by_app)),
     }

@@ -7,7 +7,6 @@ silently zero.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
 
@@ -17,41 +16,30 @@ from .flowledger import FlowRecord
 # -- detection and coverage rates ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class DetectionSets:
-    a_det: frozenset[str]
-    a_gt: frozenset[str]
-    s_det: frozenset[tuple[str, str]]
-    s_gt: frozenset[tuple[str, str]]
-
-
-@dataclass(frozen=True)
-class CoverageSets:
-    e_auto: frozenset[tuple[str, str]]
-    e_manual: frozenset[tuple[str, str]]
-    s_auto: frozenset[tuple[str, str]]
-    s_manual: frozenset[tuple[str, str]]
-
-
-def _rate(num: int, den: int) -> float | None:
+def rate(num: int, den: int) -> float | None:
+    """``num / den``, or None when ``den`` is 0."""
     return None if den == 0 else num / den
 
 
-def detection_rates(d: DetectionSets) -> dict[str, float | None]:
+def detection_rates(*, a_det: set, a_gt: set, s_det: set, s_gt: set) -> dict[str, float | None]:
+    """Recall of the true apps and sites, and the share of detections that are novel."""
     return {
-        "R_app": _rate(len(d.a_det & d.a_gt), len(d.a_gt)),
-        "R_app_novel": _rate(len(d.a_det - d.a_gt), len(d.a_det)),
-        "R_TLS": _rate(len(d.s_det & d.s_gt), len(d.s_gt)),
-        "R_TLS_novel": _rate(len(d.s_det - d.s_gt), len(d.s_det)),
+        "R_app": rate(len(a_det & a_gt), len(a_gt)),
+        "R_app_novel": rate(len(a_det - a_gt), len(a_det)),
+        "R_TLS": rate(len(s_det & s_gt), len(s_gt)),
+        "R_TLS_novel": rate(len(s_det - s_gt), len(s_det)),
     }
 
 
-def coverage_rates(c: CoverageSets) -> dict[str, float | None]:
+def coverage_rates(
+    *, e_auto: set, e_manual: set, s_auto: set, s_manual: set
+) -> dict[str, float | None]:
+    """Share of the manually reached UI elements and sites reached too, and the novel share."""
     return {
-        "C_UI": _rate(len(c.e_auto & c.e_manual), len(c.e_manual)),
-        "C_UI_novel": _rate(len(c.e_auto - c.e_manual), len(c.e_auto)),
-        "C_TLS": _rate(len(c.s_auto & c.s_manual), len(c.s_manual)),
-        "C_TLS_novel": _rate(len(c.s_auto - c.s_manual), len(c.s_auto)),
+        "C_UI": rate(len(e_auto & e_manual), len(e_manual)),
+        "C_UI_novel": rate(len(e_auto - e_manual), len(e_auto)),
+        "C_TLS": rate(len(s_auto & s_manual), len(s_manual)),
+        "C_TLS_novel": rate(len(s_auto - s_manual), len(s_auto)),
     }
 
 
@@ -84,7 +72,7 @@ def prevalence(records: list[FlowRecord]) -> dict:
     ratios = [hosts_vulnerable[app] / hosts_tested[app] for app in sorted(hosts_tested)]
 
     return {
-        "fractions": {k: _rate(found[k], tested[k]) for k in tested},
+        "fractions": {k: rate(found[k], tested[k]) for k in tested},
         "per_app_ratio": {
             "values": ratios,
             "median": median(ratios) if ratios else None,

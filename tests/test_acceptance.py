@@ -10,7 +10,7 @@ from pathlib import Path
 
 from mitmscan import cli, metrics
 from mitmscan.appsim import ScanConfig
-from mitmscan.certforge import CertConfig, TrustStore, issue_leaf, make_root, verify_chain
+from mitmscan.certforge import CertConfig, issue_leaf, make_root, verify_chain
 from mitmscan.classifier import classify_rule, load_corpus
 from mitmscan.fleet import demo_fleet, expected_truth_table
 from mitmscan.flowledger import (
@@ -221,12 +221,12 @@ def test_metrics_oracle_equivalence(capsys):
         a_gt = frozenset(rng.sample(universe_apps, rng.randint(0, 6)))
         s_det = frozenset(rng.sample(universe_pairs, rng.randint(0, 8)))
         s_gt = frozenset(rng.sample(universe_pairs, rng.randint(0, 8)))
-        rates = metrics.detection_rates(metrics.DetectionSets(a_det, a_gt, s_det, s_gt))
+        rates = metrics.detection_rates(a_det=a_det, a_gt=a_gt, s_det=s_det, s_gt=s_gt)
         want_r_app = len(a_det & a_gt) / len(a_gt) if a_gt else None
         want_novel = len(a_det - a_gt) / len(a_det) if a_det else None
         if rates["R_app"] != want_r_app or rates["R_app_novel"] != want_novel:
             failures += 1
-        cov = metrics.coverage_rates(metrics.CoverageSets(s_det, s_gt, s_det, s_gt))
+        cov = metrics.coverage_rates(e_auto=s_det, e_manual=s_gt, s_auto=s_det, s_manual=s_gt)
         want_cui = len(s_det & s_gt) / len(s_gt) if s_gt else None
         if cov["C_UI"] != want_cui:
             failures += 1
@@ -322,7 +322,7 @@ def test_certificate_properties(capsys):
         ca = make_root(f"ca-{case}", config=cfg)
         decoy = make_root(f"decoy-{case}", config=cfg)
         in_store = rng.random() < 0.5
-        store = TrustStore([ca] if in_store else [decoy])
+        store = (ca,) if in_store else (decoy,)
         leaf = issue_leaf(ca, "p.example.com", ["p.example.com"], rng.randint(1, 60), cfg)
         now = cfg.now + datetime.timedelta(days=rng.randint(-40, 80))
         in_window = leaf.cert.not_valid_before_utc <= now <= leaf.cert.not_valid_after_utc

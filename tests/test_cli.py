@@ -169,6 +169,29 @@ def test_hosts_sharing_a_first_label_are_each_scanned(tmp_path):
         assert hosts == ["api.a.example.com"] * 2 + ["api.b.example.com"] * 2, test
 
 
+def test_every_flow_of_a_host_too_long_for_a_cn_lands_once(tmp_path):
+    """A host over the 64 characters a leaf's CN may hold is named in its SAN only,
+    so each test records each of its flows once, as it does for a short host."""
+    long_host = "api." + "a" * 60 + ".example"
+    assert len(long_host) == 72
+    fleet_path = tmp_path / "fleet.json"
+    fleet_path.write_text(json.dumps([{
+        "app_id": "com.long.host",
+        "fqdns": [long_host, "b.example.com"],
+        "profile": asdict(ClientProfile()),
+    }]))
+    out = tmp_path / "out"
+    assert main(["scan", "--fleet", str(fleet_path), "--strategy", "scripted", "--policy",
+                 "always", "--freeze-time", "--out", str(out)]) == EXIT_OK
+    for test in TESTS:
+        records = read_ledger(out / f"ledger_{test}.jsonl")
+        outcomes = {(r.fqdn, r.channel): r.outcome for r in records}
+        assert len(records) == len(outcomes) == 4, test
+        for channel in ("native", "webview"):
+            assert outcomes[long_host, channel] == outcomes["b.example.com", channel], test
+        assert "inconclusive" not in outcomes.values(), test
+
+
 def _deep_app():
     """Hosts up to two screens below the start screen, and a goto back to it.
 
@@ -401,13 +424,18 @@ def test_malformed_scan_inputs_exit_2(scan_dir, tmp_path, capsys):
     """A bad ledger fails its own locate and the report; bad events fail all four."""
     lines = (scan_dir / "ledger_T1.jsonl").read_text().splitlines(keepends=True)
     bad_channel = json.dumps({**json.loads(lines[1]), "channel": "browser"}) + "\n"
+    fqdn_int = json.dumps({**json.loads(lines[1]), "fqdn": 5}) + "\n"
+    events = (scan_dir / "events.jsonl").read_text()
+    host_int = json.dumps(_event("com.x", "X.check", "accepted", hostname_param=5)) + "\n"
     ledger_fails = [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_USAGE]
     cases = [
         ("ledger_T1.jsonl", lines[0] + "{oops\n" + "".join(lines[1:]), ledger_fails),
         ("ledger_T1.jsonl", lines[0] + bad_channel + "".join(lines[2:]), ledger_fails),
         ("ledger_T1.jsonl", lines[0] + '{"app_id": "x"}\n' + "".join(lines[1:]), ledger_fails),
         ("ledger_T1.jsonl", "".join(lines) + lines[0], ledger_fails),
-        ("events.jsonl", "{oops\n" + (scan_dir / "events.jsonl").read_text(), [EXIT_USAGE] * 4),
+        ("ledger_T1.jsonl", lines[0] + fqdn_int + "".join(lines[2:]), ledger_fails),
+        ("events.jsonl", "{oops\n" + events, [EXIT_USAGE] * 4),
+        ("events.jsonl", host_int + events, [EXIT_USAGE] * 4),
     ]
     for i, (name, text, codes) in enumerate(cases):
         scan = tmp_path / f"scan{i}"

@@ -181,6 +181,40 @@ def test_client_decides_on_the_chain_the_handshake_served(material, monkeypatch,
     assert [r.outcome for r in records] == ["vulnerable"]
 
 
+def test_a_leaf_that_cannot_be_served_records_its_flow_inconclusive(
+    material, monkeypatch, caplog, ledger_file
+):
+    """A serve that fails, say in its temp file or in load_cert_chain, loses no flow."""
+    serve = MitmMaterial.serve
+
+    def serve_or_fail(self, leaf):
+        if "broken.example.com" in cert_dns_names(leaf.cert):
+            raise OSError("no space left on device")
+        return serve(self, leaf)
+
+    monkeypatch.setattr(MitmMaterial, "serve", serve_or_fail)
+    profile = ClientProfile(trust_behavior="T1", hostname_behavior="H1")
+    path, read = ledger_file
+    with caplog.at_level(logging.WARNING, logger="mitmscan.engine"):
+        with MitmEngine(material, "T1", POLICY_ALWAYS, FlowLedger(path), grace_seconds=0.3) as engine:
+            results = [
+                perform_flow(
+                    _one_screen_app("com.test.app", fqdn, profile),
+                    FlowSpec(fqdn, "native"),
+                    engine.address,
+                    material.client_store,
+                    material.config.now,
+                )
+                for fqdn in ("broken.example.com", "svc.example.com")
+            ]
+    assert [(r.fqdn, r.outcome) for r in read()] == [
+        ("broken.example.com", "inconclusive"), ("svc.example.com", "vulnerable")
+    ]
+    assert results[0].accepted is None and results[0].error is not None
+    assert results[1].accepted is True
+    assert "connection handler error" not in caplog.text
+
+
 def test_engine_t3_records_vulnerable_flow(material, ledger_file):
     records, _ = _run_one(
         ledger_file, material, "T3", ClientProfile(trust_behavior="T1", hostname_behavior="H1")

@@ -4,8 +4,6 @@ from hypothesis import strategies as st
 
 from mitmscan.flowledger import FlowRecord
 from mitmscan.metrics import (
-    CoverageSets,
-    DetectionSets,
     cdf,
     coverage_rates,
     detection_rates,
@@ -25,27 +23,21 @@ def flows(rows):
 
 
 def test_detection_rates_examples():
-    d = DetectionSets(
-        a_det=frozenset("ab"), a_gt=frozenset("ac"),
-        s_det=frozenset(), s_gt=frozenset(),
-    )
-    rates = detection_rates(d)
+    rates = detection_rates(a_det=set("ab"), a_gt=set("ac"), s_det=set(), s_gt=set())
     assert rates["R_app"] == 0.5 and rates["R_app_novel"] == 0.5
     assert rates["R_TLS"] is None and rates["R_TLS_novel"] is None
 
-    same = DetectionSets(frozenset("ab"), frozenset("ab"), frozenset(), frozenset())
-    rates = detection_rates(same)
+    rates = detection_rates(a_det=set("ab"), a_gt=set("ab"), s_det=set(), s_gt=set())
     assert rates["R_app"] == 1.0 and rates["R_app_novel"] == 0.0
 
 
 def test_coverage_rates_examples():
-    e = frozenset({("a", "s1"), ("a", "s2")})
-    same = CoverageSets(e, e, e, e)
-    rates = coverage_rates(same)
+    e = {("a", "s1"), ("a", "s2")}
+    rates = coverage_rates(e_auto=e, e_manual=e, s_auto=e, s_manual=e)
     assert rates["C_UI"] == 1.0 and rates["C_UI_novel"] == 0.0
 
-    disjoint = CoverageSets(e, frozenset({("b", "s9")}), e, frozenset({("b", "s9")}))
-    rates = coverage_rates(disjoint)
+    other = {("b", "s9")}
+    rates = coverage_rates(e_auto=e, e_manual=other, s_auto=e, s_manual=other)
     assert rates["C_UI"] == 0.0 and rates["C_UI_novel"] == 1.0
 
 

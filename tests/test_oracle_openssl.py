@@ -21,6 +21,7 @@ from mitmscan.profiles import ClientProfile, client_accepts
 
 MATERIAL = MitmMaterial.generate()
 ROOTS = ("untrusted_root", "lab_trusted_root", "installed_root")
+LONG_HOST = "api." + "a" * 60 + ".example"  # 72 characters, over the CN's 64
 NO_CHECK_TIME = 0x200000  # X509_V_FLAG_NO_CHECK_TIME: the fixtures are dated 2025
 
 
@@ -89,6 +90,7 @@ def _handshake(leaf, host: str):
 @given(leaves_and_hosts())
 @example(("lab_trusted_root", "a.example", ["*.example"], 90, "a.example"))
 @example(("lab_trusted_root", "a.api.example", ["a.api.example"], 90, "a.api.example."))
+@example(("installed_root", LONG_HOST, [LONG_HOST], 90, LONG_HOST))  # named in the SAN only
 def test_secure_client_decides_as_openssl(case):
     root, cn, sans, validity_days, host = case
     leaf = issue_leaf(getattr(MATERIAL, root), cn, sans, validity_days, MATERIAL.config)

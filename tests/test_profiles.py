@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mitmscan.certforge import CertConfig, TrustStore, fingerprint, issue_leaf, make_root
+from mitmscan.certforge import CertConfig, fingerprint, issue_leaf, make_root
 from mitmscan.engine import forge_for
 from mitmscan.flowledger import CHANNELS, TESTS
 from mitmscan.profiles import (
@@ -23,7 +23,7 @@ CFG = CertConfig(seed=9)
 NOW = CFG.now
 TRUSTED = make_root("trusted-ca", CFG)
 UNTRUSTED = make_root("rogue-ca", CFG)
-STORE = TrustStore([TRUSTED])
+STORE = (TRUSTED,)
 
 GOOD = issue_leaf(TRUSTED, "api.example.com", ["api.example.com"], 30, CFG)
 WRONG_NAME = issue_leaf(TRUSTED, "attacker.invalid", ["attacker.invalid"], 30, CFG)
