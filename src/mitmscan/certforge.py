@@ -17,16 +17,16 @@ from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.x509.oid import NameOID
 
-# Fixed epoch used when no explicit clock is configured; keeps fixtures stable.
+# The scan clock: every certificate's dates are set from it, and every client's
+# check reads it, so fixtures and verdicts are stable across runs.
 DEFAULT_NOW = datetime.datetime(2025, 4, 1, tzinfo=datetime.timezone.utc)
 
 
 @dataclass(frozen=True)
 class CertConfig:
-    """Deterministic generation parameters shared by all material."""
+    """The seed every key and serial of the material is derived from."""
 
     seed: int = 0
-    now: datetime.datetime = DEFAULT_NOW
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,8 @@ def _sign(
         .issuer_name(ca.self_signed_cert.subject if ca else subject)
         .public_key(key.public_key())
         .serial_number(_derive_serial(config, serial_purpose))
-        .not_valid_before(config.now - datetime.timedelta(days=1))
-        .not_valid_after(config.now + datetime.timedelta(days=validity_days))
+        .not_valid_before(DEFAULT_NOW - datetime.timedelta(days=1))
+        .not_valid_after(DEFAULT_NOW + datetime.timedelta(days=validity_days))
     )
     for extension, critical in extensions:
         builder = builder.add_extension(extension, critical)

@@ -11,9 +11,11 @@ from __future__ import annotations
 import json
 import logging
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+from .metrics import rate
 from .taxonomy import (
     EXCLUSIVE_TRUST_FLAWS,
     FAMILY_BY_KIND,
@@ -307,10 +309,23 @@ def classify_llm(snippet: Snippet, backend, variant: str = "P2") -> set[str]:
 
 
 def classify_llm_batch(snippets: list[Snippet], backend, variant: str = "P2") -> dict[str, set[str]]:
+    """Each snippet's labels. No snippet starts after a failure, which is raised, so a dead
+    backend costs the calls of at most ``LLM_WORKERS`` snippets."""
     from concurrent.futures import ThreadPoolExecutor  # only remote backends need threads
 
+    failed = threading.Event()
+
+    def classify(snippet: Snippet) -> set[str] | None:
+        if failed.is_set():
+            return None  # the batch raises the failure that set it
+        try:
+            return classify_llm(snippet, backend, variant)
+        except Exception:
+            failed.set()
+            raise
+
     with ThreadPoolExecutor(max_workers=LLM_WORKERS) as pool:
-        futures = {s.snippet_id: pool.submit(classify_llm, s, backend, variant) for s in snippets}
+        futures = {s.snippet_id: pool.submit(classify, s) for s in snippets}
         return {sid: fut.result() for sid, fut in futures.items()}
 
 
@@ -318,8 +333,8 @@ def classify_llm_batch(snippets: list[Snippet], backend, variant: str = "P2") ->
 
 
 def _micro(tp: int, fp: int, fn: int) -> dict[str, float | None]:
-    precision = tp / (tp + fp) if tp + fp else None
-    recall = tp / (tp + fn) if tp + fn else None
+    precision = rate(tp, tp + fp)
+    recall = rate(tp, tp + fn)
     if precision and recall:
         f1 = 2 * precision * recall / (precision + recall)
     elif precision is None or recall is None:

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 from . import appsim, classifier, fleet, locator, metrics, party
-from .certforge import CertConfig, cert_dns_names
+from .certforge import DEFAULT_NOW, CertConfig, cert_dns_names
 from .engine import MitmEngine, MitmMaterial, forge_for, wall_clock
 from .flowledger import (
     POLICY_ALIASES,
@@ -119,7 +119,7 @@ def run_scan(
             for app in apps:
                 session = appsim.execute_session(
                     app, config, mitm_hosts, engine.address,
-                    material.client_store, material.config.now, llm=llm,
+                    material.client_store, DEFAULT_NOW, llm=llm,
                 )
                 stats = per_app[app.app_id]
                 stats["steps"] += session.steps_taken

@@ -176,13 +176,12 @@ class Listener:
     ``accept()`` starts one first, after up to 5 ms for a busy worker to come
     back: no client holds up a new connection, and a sequential client is
     served by two workers. ``stop()`` shuts the socket down, which wakes every
-    ``accept()``, and joins every worker. Each connection starts with ``timeout``
-    as its socket timeout.
+    ``accept()``, and joins every worker. ``handle`` sets any timeout its
+    connection needs.
     """
 
-    def __init__(self, handle, timeout: float):
+    def __init__(self, handle):
         self._handle = handle
-        self._timeout = timeout
         self._sock = socket.create_server(("127.0.0.1", 0))
         self._lock = threading.Condition(threading.Lock())
         self._workers: list[threading.Thread] = []
@@ -236,7 +235,6 @@ class Listener:
                     except RuntimeError:
                         log.warning("could not start a listener worker", exc_info=True)
             try:
-                conn.settimeout(self._timeout)
                 # Small writes go out at once: without this, Nagle holds a reply
                 # until a delayed ACK, about 40 ms, arrives for the last one.
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -288,7 +286,7 @@ class MitmEngine:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
-        self._listener = Listener(self._handle_connection, max(self.grace_seconds * 4, 5.0))
+        self._listener = Listener(self._handle_connection)
         return self._listener.start()
 
     @property
@@ -311,7 +309,7 @@ class MitmEngine:
     # -- per-connection flow -----------------------------------------------
 
     def _handle_connection(self, sock: socket.socket) -> None:
-        deadline = time.monotonic() + sock.gettimeout()
+        deadline = time.monotonic() + max(self.grace_seconds * 4, 5.0)
         preamble = _read_preamble(sock, deadline)
         if preamble is None:
             return

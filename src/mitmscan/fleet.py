@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import datetime
 import json
 from dataclasses import asdict
 from pathlib import Path
 
 from .appsim import Action, FlowSpec, Screen, SyntheticApp
-from .certforge import fingerprint
+from .certforge import DEFAULT_NOW, fingerprint
 from .engine import MitmMaterial, forge_for
 from .flowledger import TESTS
 from .profiles import (
@@ -81,12 +80,9 @@ def demo_fleet(material: MitmMaterial) -> list[SyntheticApp]:
 
 
 def expected_truth_table(
-    apps: list[SyntheticApp],
-    material: MitmMaterial,
-    now: datetime.datetime | None = None,
+    apps: list[SyntheticApp], material: MitmMaterial
 ) -> dict[tuple[str, str, str, str], str]:
     """(app_id, fqdn, test, channel) -> expected outcome under interception."""
-    now = now or material.config.now
     table = {}
     for app in apps:
         for fqdn in app.fqdns():
@@ -95,7 +91,7 @@ def expected_truth_table(
                 chain = [leaf.cert, leaf.issuer.self_signed_cert]
                 for channel in ("native", "webview"):
                     ok = client_accepts(
-                        app.profile, chain, fqdn, channel, material.client_store, now
+                        app.profile, chain, fqdn, channel, material.client_store, DEFAULT_NOW
                     )
                     table[(app.app_id, fqdn, test, channel)] = (
                         "vulnerable" if ok else "secure"

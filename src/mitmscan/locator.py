@@ -30,11 +30,12 @@ class ValidationEvent:
     cert_sans: list[str] | None = None
 
     def __post_init__(self):
-        # Later stages sort these fields or call string methods on them.
+        # Later stages sort these fields, call string methods on them or branch on mitm_active.
         host, cn, sans = self.hostname_param, self.cert_cn, self.cert_sans
         if not (
             type(self.app_id) is str
             and type(self.code_location) is str
+            and type(self.mitm_active) is bool
             and (host is None or type(host) is str)
             and (cn is None or type(cn) is str)
             and (sans is None or type(sans) is list)

@@ -8,6 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 from .locator import ValidationEvent
+from .metrics import rate
 
 PARTY_DEVELOPER = "app_developer"
 PARTY_THIRD_PARTY = "third_party"
@@ -88,6 +89,6 @@ def attribute(
         for dim, values in sets.items():
             total = len(per_party[PARTY_DEVELOPER][dim] | per_party[PARTY_THIRD_PARTY][dim])
             entry[dim] = len(values)
-            entry[f"{dim}_pct"] = 100.0 * len(values) / total if total else None
+            entry[f"{dim}_pct"] = rate(100.0 * len(values), total)
         parties[party] = entry
     return parties

@@ -33,30 +33,22 @@ TRUST_BEHAVIORS, HOSTNAME_BEHAVIORS, WEBVIEW_BEHAVIORS = (
 )
 PINNING_MODES = ("none", "pin_leaf", "pin_root")
 
-# The condition_params key read by each behavior whose predicate is parameterized.
-PARAM_KEYS = {
-    "H2A": "hostname_allowlist",
-    "H2B": "match_mode",
-    "T2F": "trusted_issuers",
-    "W2B": "ignored_error_codes",
-    "W2C": "insecure_state",
-}
-
 
 def _list_of(kind: type):
     return lambda value: isinstance(value, list) and all(isinstance(v, kind) for v in value)
 
 
-# What each known condition_params key must hold.
-PARAM_TYPES = {
-    "hostname_allowlist": _list_of(str),
-    "trusted_issuers": _list_of(str),
-    "pinned_fingerprints": _list_of(str),
-    "ignored_error_codes": _list_of(int),
-    "match_mode": lambda value: value in ("suffix", "substring"),
-    "insecure_state": lambda value: isinstance(value, bool),
-    "user_accepts": lambda value: isinstance(value, bool),
-    "expected_subject": lambda value: isinstance(value, str),
+# Each condition_params key: the check on its value, the behavior codes or
+# pinning modes that read it, and whether those need it.
+PARAMS = {
+    "trusted_issuers": (_list_of(str), ("T2F",), True),
+    "expected_subject": (lambda value: isinstance(value, str), ("T2C",), False),
+    "hostname_allowlist": (_list_of(str), ("H2A",), True),
+    "match_mode": (lambda value: value in ("suffix", "substring"), ("H2B",), True),
+    "user_accepts": (lambda value: isinstance(value, bool), ("W2A",), False),
+    "ignored_error_codes": (_list_of(int), ("W2B",), True),
+    "insecure_state": (lambda value: isinstance(value, bool), ("W2C",), True),
+    "pinned_fingerprints": (_list_of(str), ("pin_leaf", "pin_root"), True),
 }
 
 # SSL error codes surfaced to webview-channel profiles, mirroring the Android
@@ -84,18 +76,17 @@ class ClientProfile:
             raise ValueError(f"bad pinning: {self.pinning}")
         if not isinstance(self.condition_params, dict):
             raise ValueError("condition_params must be a dict")
-        bad = sorted(
-            key for key, value in self.condition_params.items()
-            if key in PARAM_TYPES and not PARAM_TYPES[key](value)
-        )
-        if bad:
+        params = self.condition_params
+        codes = {self.trust_behavior, self.hostname_behavior, self.webview_behavior, self.pinning}
+        if unknown := sorted(params.keys() - PARAMS.keys()):
+            raise ValueError(f"unknown condition_params: {unknown}")
+        if foreign := sorted(key for key in params if codes.isdisjoint(PARAMS[key][1])):
+            raise ValueError(f"condition_params no behavior of this profile reads: {foreign}")
+        if bad := sorted(key for key, value in params.items() if not PARAMS[key][0](value)):
             raise ValueError(f"condition_params of the wrong type: {bad}")
-        behaviors = {self.trust_behavior, self.hostname_behavior, self.webview_behavior}
-        missing = {
-            b for b in behaviors & PARAM_KEYS.keys() if PARAM_KEYS[b] not in self.condition_params
-        }
-        if missing:
-            raise ValueError(f"condition_params missing for {sorted(missing)}")
+        if missing := sorted(key for key, (_, owners, required) in PARAMS.items()
+                             if required and key not in params and not codes.isdisjoint(owners)):
+            raise ValueError(f"condition_params missing: {missing}")
 
 
 def _issuer_cn(cert: x509.Certificate) -> str:
@@ -216,14 +207,11 @@ def webview_proceeds(profile: ClientProfile, error_code: int | None) -> bool:
 
 
 def pinning_accepts(profile: ClientProfile, chain: list[x509.Certificate]) -> bool:
-    pinned = set(profile.condition_params.get("pinned_fingerprints", []))
+    """Whether ``chain`` holds the certificate a pin_leaf or pin_root profile pins."""
     if not chain:
         return False
-    if profile.pinning == "pin_leaf":
-        return certforge.fingerprint(chain[0]) in pinned
-    if profile.pinning == "pin_root":
-        return certforge.fingerprint(chain[-1]) in pinned
-    return True
+    pinned = chain[0] if profile.pinning == "pin_leaf" else chain[-1]
+    return certforge.fingerprint(pinned) in profile.condition_params["pinned_fingerprints"]
 
 
 def client_accepts(

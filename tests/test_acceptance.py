@@ -10,7 +10,7 @@ from pathlib import Path
 
 from mitmscan import cli, metrics
 from mitmscan.appsim import ScanConfig
-from mitmscan.certforge import CertConfig, issue_leaf, make_root, verify_chain
+from mitmscan.certforge import DEFAULT_NOW, CertConfig, issue_leaf, make_root, verify_chain
 from mitmscan.classifier import classify_rule, load_corpus
 from mitmscan.fleet import demo_fleet, expected_truth_table
 from mitmscan.flowledger import (
@@ -324,7 +324,7 @@ def test_certificate_properties(capsys):
         in_store = rng.random() < 0.5
         store = (ca,) if in_store else (decoy,)
         leaf = issue_leaf(ca, "p.example.com", ["p.example.com"], rng.randint(1, 60), cfg)
-        now = cfg.now + datetime.timedelta(days=rng.randint(-40, 80))
+        now = DEFAULT_NOW + datetime.timedelta(days=rng.randint(-40, 80))
         in_window = leaf.cert.not_valid_before_utc <= now <= leaf.cert.not_valid_after_utc
         if verify_chain([leaf.cert], store, now) != (in_store and in_window):
             failures += 1

@@ -19,6 +19,7 @@ from mitmscan.appsim import (
     parse_action_reply,
     perform_flow,
 )
+from mitmscan.certforge import DEFAULT_NOW
 from mitmscan.engine import Listener, MitmEngine, forge_for
 from mitmscan.flowledger import POLICY_ALWAYS, FlowLedger
 from mitmscan.profiles import ClientProfile
@@ -157,7 +158,7 @@ def test_execute_session_routes_and_counts(material, ledger_file):
             {"a.example.com"},
             engine.address,
             material.client_store,
-            material.config.now,
+            DEFAULT_NOW,
         )
     assert [(f.route, f.accepted, f.error) for f in session.flows] == [
         ("MITM", False, None),
@@ -188,7 +189,7 @@ def test_back_returns_to_the_screen_before(material):
         set(),
         ("127.0.0.1", 1),
         material.client_store,
-        material.config.now,
+        DEFAULT_NOW,
     )
     # a, b, c, back (to A), x, back (to home); a back to home would never reach x
     assert [f.fqdn for f in session.flows] == ["c.example.com", "x.example.com"]
@@ -206,7 +207,7 @@ def test_time_budget_marks_partial(material):
         set(),
         ("127.0.0.1", 1),
         material.client_store,
-        material.config.now,
+        DEFAULT_NOW,
     )
     assert session.partial
     assert session.steps_taken == 1
@@ -230,12 +231,12 @@ def _flow_against_reply(material, *parts):
         except OSError:  # the client left with bytes of the reply unread
             sent.append(b"")
 
-    stub = Listener(answer, timeout=5.0)
+    stub = Listener(answer)
     address = stub.start()
     try:
         result = perform_flow(
             two_screen_app(), FlowSpec("a.example.com"), address,
-            material.client_store, material.config.now,
+            material.client_store, DEFAULT_NOW,
         )
     finally:
         stub.stop()
@@ -283,13 +284,13 @@ def test_flow_stalled_after_the_handshake_closes_its_socket(material, monkeypatc
         with ctx.wrap_socket(conn, server_side=True):
             done.wait(5)
 
-    stub = Listener(stall, timeout=5.0)
+    stub = Listener(stall)
     address = stub.start()
     app = two_screen_app()
     app.profile = ClientProfile(trust_behavior=trust_behavior, hostname_behavior="H1")
     try:
         result = perform_flow(
-            app, FlowSpec("a.example.com"), address, material.client_store, material.config.now,
+            app, FlowSpec("a.example.com"), address, material.client_store, DEFAULT_NOW,
         )
         gc.collect()  # a socket left open would warn here, and the warning is an error
     finally:

@@ -120,10 +120,10 @@ def test_verify_chain_time_window():
     ca = make_root("ca", config=cfg)
     store = (ca,)
     leaf = issue_leaf(ca, "example.com", ["example.com"], 10, cfg)
-    assert verify_chain([leaf.cert], store, cfg.now)
-    assert not verify_chain([leaf.cert], store, cfg.now + datetime.timedelta(days=11))
-    assert not verify_chain([leaf.cert], store, cfg.now - datetime.timedelta(days=2))
-    assert not verify_chain([leaf.cert], (), cfg.now)
+    assert verify_chain([leaf.cert], store, DEFAULT_NOW)
+    assert not verify_chain([leaf.cert], store, DEFAULT_NOW + datetime.timedelta(days=11))
+    assert not verify_chain([leaf.cert], store, DEFAULT_NOW - datetime.timedelta(days=2))
+    assert not verify_chain([leaf.cert], (), DEFAULT_NOW)
 
 
 def test_fingerprint_shape():
@@ -145,6 +145,6 @@ def test_verify_chain_iff_issuer_and_window(seed, in_store, day_offset):
     decoy = make_root("prop-ca", config=CertConfig(seed=seed + 1))  # same name, other key
     store = (decoy, ca) if in_store else (decoy,)
     leaf = issue_leaf(ca, "p.example.com", ["p.example.com"], 14, cfg)
-    now = cfg.now + datetime.timedelta(days=day_offset)
+    now = DEFAULT_NOW + datetime.timedelta(days=day_offset)
     in_window = leaf.cert.not_valid_before_utc <= now <= leaf.cert.not_valid_after_utc
     assert verify_chain([leaf.cert], store, now) == (in_store and in_window)

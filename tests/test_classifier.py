@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mitmscan.classifier import (
+    LLM_ATTEMPTS,
+    LLM_WORKERS,
     BackendError,
     Snippet,
     SnippetParseError,
@@ -274,6 +276,23 @@ def test_classify_llm_batch_bounded():
     ]
     results = classify_llm_batch(snippets, lambda p: "T1")
     assert all(results[f"s{i}"] == {"T1"} for i in range(5))
+
+
+def test_classify_llm_batch_stops_at_the_first_failure():
+    """A dead backend costs the snippets already being classified, and no others."""
+    snippets = [
+        tm_snippet("class C { void checkServerTrusted(X[] c, String a) { return; } }", f"s{i}")
+        for i in range(20)
+    ]
+    calls = []
+
+    def dead(prompt):
+        calls.append(1)
+        raise ConnectionError("down")
+
+    with pytest.raises(BackendError):
+        classify_llm_batch(snippets, dead)
+    assert LLM_ATTEMPTS <= len(calls) <= LLM_ATTEMPTS * LLM_WORKERS
 
 
 def test_evaluate_all_ones_and_half_recall():

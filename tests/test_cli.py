@@ -117,8 +117,9 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     notjson.write_text("{oops")
     # a bad --fleet is refused before --out is made: an app with no host, a
     # host that the engine would drop, hosts that are no list of names, an
-    # app id that is no string, condition_params of the wrong type, or one
-    # app id named twice
+    # app id that is no string, condition_params of the wrong type, a
+    # condition_params key no behavior of the app reads, a pinning mode
+    # without its pins, or one app id named twice
     def entry(**fields):
         return {"app_id": "com.bad.app", "fqdns": ["a.example.com"],
                 "profile": asdict(ClientProfile()), **fields}
@@ -139,6 +140,12 @@ def test_invalid_config_exits_2(tmp_path, capsys):
             webview_behavior="W2B", condition_params={"ignored_error_codes": 3}))]),
         ("allowlist_str", [entry(profile=profile(
             hostname_behavior="H2A", condition_params={"hostname_allowlist": "a.example.com"}))]),
+        ("subject_typo", [entry(profile=profile(
+            trust_behavior="T2C", condition_params={"expected_subjct": "a.example.com"}))]),
+        ("foreign_key", [entry(profile=profile(condition_params={"user_accepts": True}))]),
+        ("pin_root_typo", [entry(profile=profile(
+            pinning="pin_root", condition_params={"pinned_fingerprint": ["00" * 32]}))]),
+        ("pin_leaf_no_pins", [entry(profile=profile(pinning="pin_leaf"))]),
         ("app_id_twice", [entry(app_id="x", fqdns=["a.example.com"]),
                           entry(app_id="x", fqdns=["b.example.com"], profile=profile(
                               trust_behavior="T1", hostname_behavior="H1"))]),
@@ -427,6 +434,8 @@ def test_malformed_scan_inputs_exit_2(scan_dir, tmp_path, capsys):
     fqdn_int = json.dumps({**json.loads(lines[1]), "fqdn": 5}) + "\n"
     events = (scan_dir / "events.jsonl").read_text()
     host_int = json.dumps(_event("com.x", "X.check", "accepted", hostname_param=5)) + "\n"
+    active_str = json.dumps({**_event("com.x", "X.check", "accepted", cert_cn="x.example.com"),
+                             "mitm_active": "false"}) + "\n"
     ledger_fails = [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_USAGE]
     cases = [
         ("ledger_T1.jsonl", lines[0] + "{oops\n" + "".join(lines[1:]), ledger_fails),
@@ -436,6 +445,7 @@ def test_malformed_scan_inputs_exit_2(scan_dir, tmp_path, capsys):
         ("ledger_T1.jsonl", lines[0] + fqdn_int + "".join(lines[2:]), ledger_fails),
         ("events.jsonl", "{oops\n" + events, [EXIT_USAGE] * 4),
         ("events.jsonl", host_int + events, [EXIT_USAGE] * 4),
+        ("events.jsonl", active_str + events, [EXIT_USAGE] * 4),
     ]
     for i, (name, text, codes) in enumerate(cases):
         scan = tmp_path / f"scan{i}"

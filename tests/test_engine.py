@@ -17,7 +17,7 @@ import pytest
 
 from mitmscan import appsim
 from mitmscan.appsim import Action, FlowSpec, Screen, SyntheticApp, perform_flow
-from mitmscan.certforge import cert_dns_names, verify_chain
+from mitmscan.certforge import DEFAULT_NOW, cert_dns_names, verify_chain
 from mitmscan.engine import (
     ATTACKER_NAME,
     MAX_PREAMBLE_BYTES,
@@ -44,19 +44,19 @@ def test_forge_t1_untrusted_root(material):
     leaf = forge_for("T1", "api.example.com", material)
     assert cert_dns_names(leaf.cert) == ["api.example.com", "api.example.com"]
     assert leaf.issuer is material.untrusted_root
-    assert not verify_chain([leaf.cert], material.client_store, material.config.now)
+    assert not verify_chain([leaf.cert], material.client_store, DEFAULT_NOW)
 
 
 def test_forge_t2_wrong_name_valid_chain(material):
     leaf = forge_for("T2", "api.example.com", material)
     assert cert_dns_names(leaf.cert) == [ATTACKER_NAME, ATTACKER_NAME]
-    assert verify_chain([leaf.cert], material.client_store, material.config.now)
+    assert verify_chain([leaf.cert], material.client_store, DEFAULT_NOW)
 
 
 def test_forge_t3_installed_root(material):
     leaf = forge_for("T3", "api.example.com", material)
     assert leaf.issuer is material.installed_root
-    assert verify_chain([leaf.cert], material.client_store, material.config.now)
+    assert verify_chain([leaf.cert], material.client_store, DEFAULT_NOW)
 
 
 def test_forge_unknown_test(material):
@@ -79,7 +79,7 @@ def _run_one(ledger_file, material, test, profile, channel="native", policy=POLI
             FlowSpec("svc.example.com", channel),
             engine.address,
             material.client_store,
-            material.config.now,
+            DEFAULT_NOW,
         )
     return read(), result
 
@@ -127,7 +127,7 @@ def test_engine_skip_policy(material, ledger_file):
                 FlowSpec("svc.example.com", "native"),
                 engine.address,
                 material.client_store,
-                material.config.now,
+                DEFAULT_NOW,
             )
     assert [r.outcome for r in read()] == ["vulnerable", "skipped"]
 
@@ -203,7 +203,7 @@ def test_a_leaf_that_cannot_be_served_records_its_flow_inconclusive(
                     FlowSpec(fqdn, "native"),
                     engine.address,
                     material.client_store,
-                    material.config.now,
+                    DEFAULT_NOW,
                 )
                 for fqdn in ("broken.example.com", "svc.example.com")
             ]
@@ -235,7 +235,7 @@ def test_t2_engine_builds_one_context_for_every_host(context_loads, ledger_file)
                 FlowSpec(fqdn, "native"),
                 engine.address,
                 material.client_store,
-                material.config.now,
+                DEFAULT_NOW,
             )
     assert len(context_loads) == 1
     assert [r.outcome for r in read()] == ["vulnerable", "vulnerable"]
@@ -262,7 +262,7 @@ def test_skipped_flows_are_recorded_and_not_intercepted(monkeypatch, context_loa
                 FlowSpec("svc.example.com", "native"),
                 engine.address,
                 material.client_store,
-                material.config.now,
+                DEFAULT_NOW,
             )
             with socket.create_connection(engine.address, timeout=5) as sock:
                 sock.sendall(_preamble())
@@ -322,7 +322,7 @@ def test_accepting_flows_wait_for_no_delayed_ack(material):
                 FlowSpec("svc.example.com", "native"),
                 engine.address,
                 material.client_store,
-                material.config.now,
+                DEFAULT_NOW,
             )
             durations.append(time.perf_counter() - started)
             assert result.accepted is True
@@ -357,7 +357,7 @@ def test_stop_waits_for_every_flow_record(material, profile, outcome, ledger_fil
                 FlowSpec(fqdn, "native"),
                 engine.address,
                 material.client_store,
-                material.config.now,
+                DEFAULT_NOW,
             )
     records = read()
     assert [r.fqdn for r in records] == fqdns
@@ -375,7 +375,7 @@ def test_listener_stop_waits_for_handlers_in_flight():
         finished.append(conn)
 
     before = set(threading.enumerate())
-    listener = Listener(handle, timeout=5.0)
+    listener = Listener(handle)
     with socket.create_connection(listener.start(), timeout=5) as sock:
         sock.sendall(b"x")
         assert started.wait(timeout=5)
@@ -394,7 +394,7 @@ def test_listener_keeps_no_connection_after_its_handler_ends():
         conn.recv(1)
         finished.append(True)
 
-    listener = Listener(handle, timeout=5.0)
+    listener = Listener(handle)
     address = listener.start()
     try:
         for _ in range(3):
@@ -418,14 +418,16 @@ def _read_to_eof(sock: socket.socket) -> bytes:
 
 
 def test_listener_serves_sequential_connections_on_two_workers():
-    """A worker waits in accept() while the other serves, and neither is replaced."""
-    workers = set()
+    """A worker waits in accept() while the other serves, and neither is replaced.
+    It hands each connection over with no timeout: the handler sets the one it needs."""
+    workers, timeouts = set(), set()
 
     def handle(conn):
         workers.add(threading.current_thread())
+        timeouts.add(conn.gettimeout())
         conn.sendall(b"x")
 
-    listener = Listener(handle, timeout=5.0)
+    listener = Listener(handle)
     address = listener.start()
     try:
         for _ in range(50):
@@ -434,6 +436,7 @@ def test_listener_serves_sequential_connections_on_two_workers():
     finally:
         listener.stop()
     assert len(workers) <= 2
+    assert timeouts == {None}
 
 
 def test_listener_grows_to_serve_overlapping_connections_at_once():
@@ -451,7 +454,7 @@ def test_listener_grows_to_serve_overlapping_connections_at_once():
     before = set(threading.enumerate())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so a lost count would show
-    listener = Listener(handle, timeout=5.0)
+    listener = Listener(handle)
     address = listener.start()
     try:
         socks = [socket.create_connection(address, timeout=5) for _ in range(n)]
@@ -480,7 +483,7 @@ def test_listener_keeps_serving_after_a_handler_error(caplog):
             raise RuntimeError("handler failed")
         conn.sendall(b"ok")
 
-    listener = Listener(handle, timeout=5.0)
+    listener = Listener(handle)
     address = listener.start()
     try:
         with caplog.at_level(logging.WARNING, logger="mitmscan.engine"):
@@ -500,7 +503,7 @@ def test_listener_serves_the_connection_when_no_worker_can_start(monkeypatch, ca
     def handle(conn):
         served.append(conn.recv(1))
 
-    listener = Listener(handle, timeout=5.0)
+    listener = Listener(handle)
     address = listener.start()
 
     def refuse(thread):
@@ -571,7 +574,7 @@ def test_malformed_preamble_is_dropped_and_logged(material, caplog, preamble, pr
                 FlowSpec("svc.example.com", "native"),
                 engine.address,
                 material.client_store,
-                material.config.now,
+                DEFAULT_NOW,
             )
     assert result.accepted is False
     assert [r.outcome for r in read()] == ["secure"]
@@ -612,6 +615,30 @@ def test_dripped_preamble_is_dropped_at_the_deadline(caplog):
     assert len(warnings) == 1
     assert warnings[0].startswith("dropping connection: preamble unterminated or over")
     assert not any(r.exc_info for r in caplog.records)
+
+
+def test_every_read_of_a_connection_waits_no_longer_than_its_deadline(material, ledger_file):
+    """The engine bounds each read by the time its connection has left, on a socket
+    the listener handed over with no timeout."""
+    timeouts = []
+
+    class Watched(socket.socket):
+        def recv(self, *args):
+            timeouts.append(self.gettimeout())
+            return super().recv(*args)
+
+    engine_side, client = socket.socketpair()
+    engine_side = Watched(fileno=engine_side.detach())
+    path, read = ledger_file
+    engine = MitmEngine(material, "T1", POLICY_ALWAYS, FlowLedger(path), grace_seconds=0.3)
+    with engine_side, client:
+        assert engine_side.gettimeout() is None
+        client.sendall(_preamble())
+        client.shutdown(socket.SHUT_WR)  # gone before its ClientHello
+        engine._handle_connection(engine_side)
+    assert [r.outcome for r in read()] == ["inconclusive"]
+    assert len(timeouts) >= 2  # the preamble and the wait for a ClientHello
+    assert all(timeout is not None and 0 < timeout <= 5.0 for timeout in timeouts)
 
 
 def _handshake(address) -> ssl.SSLSocket:
@@ -745,7 +772,7 @@ def test_mixed_case_host_is_forged_for_the_name_the_ledger_records(material, tes
             FlowSpec("API.Example.com", "native"),
             engine.address,
             material.client_store,
-            material.config.now,
+            DEFAULT_NOW,
         )
     assert result.error is None
     assert [(r.fqdn, r.outcome) for r in read()] == [("api.example.com", "vulnerable")]
@@ -774,7 +801,7 @@ def test_hostile_clients_hold_up_no_honest_flow(material, ledger_file):
                 FlowSpec("svc.example.com", "native"),
                 engine.address,
                 material.client_store,
-                material.config.now,
+                DEFAULT_NOW,
             )
             elapsed = time.perf_counter() - started
         finally:
@@ -814,7 +841,7 @@ def test_next_flow_decides_on_the_flow_before(material, policy, profile, first, 
                     FlowSpec("svc.example.com", channel),
                     engine.address,
                     material.client_store,
-                    material.config.now,
+                    DEFAULT_NOW,
                 )
     assert [(r.app_id, r.channel, r.outcome) for r in read()] == [
         (app.app_id, channel, outcome)
@@ -840,7 +867,7 @@ def test_concurrent_flows_land_once_each_in_file_order(material, tmp_path):
             FlowSpec("svc.example.com", "native"),
             engine.address,
             material.client_store,
-            material.config.now,
+            DEFAULT_NOW,
         )
 
     interval = sys.getswitchinterval()

@@ -1,6 +1,8 @@
+import importlib
 from dataclasses import asdict
+from pathlib import Path
 
-from mitmscan.fleet import demo_fleet, expected_truth_table
+from mitmscan.fleet import demo_fleet, expected_truth_table, load_fleet
 from mitmscan.profiles import HOSTNAME_BEHAVIORS, TRUST_BEHAVIORS, WEBVIEW_BEHAVIORS, ClientProfile
 
 FLAWED = [code for family in (TRUST_BEHAVIORS, HOSTNAME_BEHAVIORS, WEBVIEW_BEHAVIORS)
@@ -32,3 +34,11 @@ def test_demo_fleet_has_one_app_per_flawed_behavior_code(material):
     table = expected_truth_table(apps, material)
     assert not {app_id for (app_id, _, test, _), outcome in table.items()
                 if outcome == "vulnerable" and test != "T3"} - {app.app_id for app in flawed}
+
+
+def test_the_benchmark_revisit_fleet_loads(tmp_path, monkeypatch):
+    """perfbench's generated fleet holds only condition_params its profiles read."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    gen = importlib.import_module("gen")
+    gen.revisit_fleet(1901, tmp_path)
+    assert len(load_fleet(tmp_path / "fleet.json")) == len(gen.REVISIT_DESIGN)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mitmscan.appsim import served_chain
-from mitmscan.certforge import issue_leaf
+from mitmscan.certforge import DEFAULT_NOW, issue_leaf
 from mitmscan.engine import MitmMaterial
 from mitmscan.profiles import ClientProfile, client_accepts
 
@@ -98,6 +98,6 @@ def test_secure_client_decides_as_openssl(case):
     assert chain[0] == leaf.cert
     for channel in ("native", "webview"):
         oracle = client_accepts(
-            ClientProfile(), chain, host, channel, MATERIAL.client_store, MATERIAL.config.now
+            ClientProfile(), chain, host, channel, MATERIAL.client_store, DEFAULT_NOW
         )
         assert oracle == openssl_accepts, (channel, host, sans)

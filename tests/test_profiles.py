@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mitmscan.certforge import CertConfig, fingerprint, issue_leaf, make_root
+from mitmscan.certforge import DEFAULT_NOW, CertConfig, fingerprint, issue_leaf, make_root
 from mitmscan.engine import forge_for
 from mitmscan.flowledger import CHANNELS, TESTS
 from mitmscan.profiles import (
@@ -20,7 +20,7 @@ from mitmscan.profiles import (
 )
 
 CFG = CertConfig(seed=9)
-NOW = CFG.now
+NOW = DEFAULT_NOW
 TRUSTED = make_root("trusted-ca", CFG)
 UNTRUSTED = make_root("rogue-ca", CFG)
 STORE = (TRUSTED,)
@@ -44,20 +44,37 @@ def test_profile_validation():
 
 
 @pytest.mark.parametrize("params", [
-    [],
-    {"hostname_allowlist": "a.example.com"},
-    {"trusted_issuers": [1]},
-    {"pinned_fingerprints": None},
-    {"ignored_error_codes": 3},
-    {"ignored_error_codes": ["3"]},
-    {"match_mode": "prefix"},
-    {"insecure_state": 1},
-    {"user_accepts": "yes"},
-    {"expected_subject": ["a.example.com"]},
+    {"condition_params": []},
+    {"hostname_behavior": "H2A", "condition_params": {"hostname_allowlist": "a.example.com"}},
+    {"trust_behavior": "T2F", "condition_params": {"trusted_issuers": [1]}},
+    {"pinning": "pin_leaf", "condition_params": {"pinned_fingerprints": None}},
+    {"webview_behavior": "W2B", "condition_params": {"ignored_error_codes": 3}},
+    {"webview_behavior": "W2B", "condition_params": {"ignored_error_codes": ["3"]}},
+    {"hostname_behavior": "H2B", "condition_params": {"match_mode": "prefix"}},
+    {"webview_behavior": "W2C", "condition_params": {"insecure_state": 1}},
+    {"webview_behavior": "W2A", "condition_params": {"user_accepts": "yes"}},
+    {"trust_behavior": "T2C", "condition_params": {"expected_subject": ["a.example.com"]}},
 ])
 def test_condition_params_of_the_wrong_type_are_refused(params):
-    with pytest.raises(ValueError):
-        ClientProfile(condition_params=params)
+    """Each key is given to a profile that reads it, so only its value's type is at fault."""
+    with pytest.raises(ValueError, match="must be a dict|of the wrong type"):
+        ClientProfile(**params)
+
+
+@pytest.mark.parametrize("params, problem", [
+    ({"trust_behavior": "T2C", "condition_params": {"expected_subjct": "a.example.com"}},
+     r"unknown condition_params: \['expected_subjct'\]"),
+    ({"condition_params": {"user_accepts": True}}, r"reads: \['user_accepts'\]"),
+    ({"trust_behavior": "T2F", "condition_params": {"trusted_issuers": [], "match_mode": "suffix"}},
+     r"reads: \['match_mode'\]"),
+    ({"pinning": "pin_leaf"}, r"missing: \['pinned_fingerprints'\]"),
+    ({"pinning": "pin_root", "condition_params": {"pinned_fingerprint": ["00" * 32]}},
+     r"unknown condition_params: \['pinned_fingerprint'\]"),
+], ids=["unknown-key", "foreign-key", "key-of-another-behavior", "pin-leaf-no-pins",
+        "pin-root-typo"])
+def test_condition_params_the_profile_does_not_read_are_refused(params, problem):
+    with pytest.raises(ValueError, match=problem):
+        ClientProfile(**params)
 
 
 def test_trust_predicates():
@@ -184,7 +201,7 @@ def test_client_accepts_agrees_with_the_independent_table(material, pin_root, fq
             for channel in CHANNELS:
                 want = expect.accepts(data, test, fqdn, channel, fingerprints)
                 got = client_accepts(
-                    profile, chain, fqdn, channel, material.client_store, material.config.now
+                    profile, chain, fqdn, channel, material.client_store, DEFAULT_NOW
                 )
                 if got != want:
                     disagreements.append((data, test, channel, got))

@@ -3,7 +3,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mitmscan.classifier import Snippet, build_prompt, evaluate
-from mitmscan.profiles import HOSTNAME_BEHAVIORS, PARAM_KEYS, TRUST_BEHAVIORS, WEBVIEW_BEHAVIORS
+from mitmscan.profiles import (
+    HOSTNAME_BEHAVIORS,
+    PARAMS,
+    PINNING_MODES,
+    TRUST_BEHAVIORS,
+    WEBVIEW_BEHAVIORS,
+)
 from mitmscan.taxonomy import (
     FAMILY_BY_KIND,
     FOCUS_METHODS,
@@ -112,8 +118,8 @@ def test_behavior_codes_are_labels_without_hyphen(kind):
 
 
 def test_parameterized_behaviors_are_behavior_codes():
-    behaviors = set(TRUST_BEHAVIORS + HOSTNAME_BEHAVIORS + WEBVIEW_BEHAVIORS)
-    assert set(PARAM_KEYS) <= behaviors
+    codes = set(TRUST_BEHAVIORS + HOSTNAME_BEHAVIORS + WEBVIEW_BEHAVIORS + PINNING_MODES)
+    assert {owner for _, owners, _ in PARAMS.values() for owner in owners} <= codes
 
 
 def _prompt_categories(prompt):
