@@ -9,7 +9,6 @@ comes from its :class:`~mitmscan.profiles.ClientProfile`.
 
 from __future__ import annotations
 
-import datetime
 import functools
 import json
 import logging
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 
 from cryptography import x509
 
-from .certforge import TrustStore
+from .certforge import DEFAULT_NOW, TrustStore
 from .flowledger import CHANNELS, is_requestable, normalize_fqdn
 from .profiles import ClientProfile, client_accepts
 
@@ -193,7 +192,6 @@ class FlowResult:
 
 @dataclass
 class SessionResult:
-    app_id: str
     flows: list[FlowResult] = field(default_factory=list)
     steps_taken: int = 0
     partial: bool = False  # time budget expired before the step budget
@@ -225,7 +223,6 @@ def perform_flow(
     spec: FlowSpec,
     engine_addr: tuple[str, int],
     store: TrustStore,
-    now: datetime.datetime,
 ) -> FlowResult:
     """Run one flow: the preamble, the engine's reply line and, on ``test``, a TLS handshake.
 
@@ -256,7 +253,7 @@ def perform_flow(
                 raise ValueError(f"engine reply {reply!r} is no test or skip line")
             with _client_context().wrap_socket(raw, server_hostname=spec.fqdn) as tls:
                 chain = served_chain(tls)
-                accepted = client_accepts(app.profile, chain, spec.fqdn, spec.channel, store, now)
+                accepted = client_accepts(app.profile, chain, spec.fqdn, spec.channel, store, DEFAULT_NOW)
                 if accepted:
                     tls.sendall(b"ping")
                 # The engine records the flow before it closes, so reading to its
@@ -275,7 +272,6 @@ def execute_session(
     mitm_hosts: set[str],
     engine_addr: tuple[str, int],
     store: TrustStore,
-    now: datetime.datetime,
     llm=None,
 ) -> SessionResult:
     """Explore one app sequentially, executing every flow its actions trigger.
@@ -284,7 +280,7 @@ def execute_session(
     The session ends after ``config.n_steps`` actions or when ``next_action`` returns None.
     """
     rng = random.Random(f"{config.seed}:{app.app_id}")
-    result = SessionResult(app_id=app.app_id)
+    result = SessionResult()
     screen = app.screens[app.start_screen]
     history: list[str] = []
     taken: set[tuple[str, str]] = set()
@@ -299,7 +295,7 @@ def execute_session(
         result.steps_taken += 1
         for spec in action.flows:
             if spec.fqdn in mitm_hosts:
-                result.flows.append(perform_flow(app, spec, engine_addr, store, now))
+                result.flows.append(perform_flow(app, spec, engine_addr, store))
             else:
                 result.flows.append(FlowResult(spec.fqdn, spec.channel, "DIRECT", None))
         if action.label == BACK_ACTION:

@@ -32,10 +32,6 @@ LLM_ATTEMPTS = 3  # calls of the backend per snippet before it counts as failed
 LLM_WORKERS = 4  # snippets classified at once by a batch
 
 
-class SnippetParseError(ValueError):
-    """The focus method body could not be extracted from the source text."""
-
-
 @dataclass(frozen=True)
 class Snippet:
     snippet_id: str
@@ -112,9 +108,9 @@ def extract_method_body(source_text: str, method_name: str) -> str:
             continue  # abstract or call statement
         end = _closing(text, brace)
         if end == -1:
-            raise SnippetParseError(f"unbalanced braces in {method_name}")
+            raise ValueError(f"unbalanced braces in {method_name}")
         return text[brace + 1 : end]
-    raise SnippetParseError(f"no declaration of {method_name} found")
+    raise ValueError(f"no declaration of {method_name} found")
 
 
 def _statements(body: str) -> list[str]:
@@ -128,7 +124,7 @@ def classify_rule(snippet: Snippet) -> set[str]:
     """Deterministic pattern classification of one snippet."""
     try:
         body = extract_method_body(snippet.source_text, snippet.focus_method)
-    except SnippetParseError as exc:
+    except ValueError as exc:
         log.warning("snippet %s: %s", snippet.snippet_id, exc)
         return {UNKNOWN_BY_KIND[snippet.interface_kind]}
     if snippet.interface_kind == "trust_manager":
@@ -288,23 +284,18 @@ def parse_completion(completion: str, interface_kind: str) -> set[str]:
     return repair_labels(recognized, interface_kind)
 
 
-class BackendError(Exception):
-    """The text-completion backend failed after all retries."""
-
-
 def classify_llm(snippet: Snippet, backend, variant: str = "P2") -> set[str]:
-    """Classify via a ``prompt -> completion`` callable with bounded retries."""
+    """Classify via a ``prompt -> completion`` callable, called up to ``LLM_ATTEMPTS``
+    times; the last attempt's error is raised."""
     prompt = build_prompt(snippet, variant)
-    last_error: Exception | None = None
-    for attempt in range(LLM_ATTEMPTS):
+    for attempt in range(1, LLM_ATTEMPTS + 1):
         try:
             completion = backend(prompt)
             break
         except Exception as exc:
-            last_error = exc
-            log.warning("backend attempt %d failed: %s", attempt + 1, exc)
-    else:
-        raise BackendError(f"backend failed after {LLM_ATTEMPTS} attempts") from last_error
+            if attempt == LLM_ATTEMPTS:
+                raise
+            log.warning("backend attempt %d failed: %s", attempt, exc)
     return parse_completion(completion, snippet.interface_kind)
 
 
@@ -397,7 +388,10 @@ def load_corpus(path: str | Path) -> list[tuple[Snippet, set[str]]]:
             focus_class=meta["focus_class"],
             focus_method=meta["focus_method"],
         )
-        truth = set(meta["labels"])
+        labels = meta["labels"]
+        if type(labels) is not list or not all(type(label) is str for label in labels):
+            raise ValueError(f"{filename}: labels must be a list of strings")
+        truth = set(labels)
         validate_labels(truth, snippet.interface_kind)
         corpus.append((snippet, truth))
     return corpus

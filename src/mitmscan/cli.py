@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 from . import appsim, classifier, fleet, locator, metrics, party
-from .certforge import DEFAULT_NOW, CertConfig, cert_dns_names
+from .certforge import CertConfig, cert_dns_names
 from .engine import MitmEngine, MitmMaterial, forge_for, wall_clock
 from .flowledger import (
     POLICY_ALIASES,
@@ -118,8 +118,7 @@ def run_scan(
         with MitmEngine(material, test, config.policy, ledger, freeze_time=freeze_time) as engine:
             for app in apps:
                 session = appsim.execute_session(
-                    app, config, mitm_hosts, engine.address,
-                    material.client_store, DEFAULT_NOW, llm=llm,
+                    app, config, mitm_hosts, engine.address, material.client_store, llm=llm
                 )
                 stats = per_app[app.app_id]
                 stats["steps"] += session.steps_taken

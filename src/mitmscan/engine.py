@@ -66,8 +66,7 @@ class MitmMaterial:
     untrusted_root: RootAuthority
     lab_trusted_root: RootAuthority
     installed_root: RootAuthority
-    client_store: TrustStore
-    config: CertConfig = field(default_factory=CertConfig)
+    config: CertConfig
     # (issuing root name, leaf name) -> leaf, and leaf -> the server context presenting it.
     # Both are deterministic: a race between handler threads at worst builds one twice.
     _leaves: dict[tuple[str, str], LeafCertificate] = field(
@@ -80,16 +79,17 @@ class MitmMaterial:
     @classmethod
     def generate(cls, config: CertConfig | None = None) -> "MitmMaterial":
         config = config or CertConfig()
-        untrusted = make_root("attacker-untrusted", config)
-        lab = make_root("lab-trusted", config)
-        installed = make_root("installed-root", config)
         return cls(
-            untrusted_root=untrusted,
-            lab_trusted_root=lab,
-            installed_root=installed,
-            client_store=(lab, installed),
+            untrusted_root=make_root("attacker-untrusted", config),
+            lab_trusted_root=make_root("lab-trusted", config),
+            installed_root=make_root("installed-root", config),
             config=config,
         )
+
+    @property
+    def client_store(self) -> TrustStore:
+        """The roots every client trusts: the lab's and the installed one."""
+        return (self.lab_trusted_root, self.installed_root)
 
     def leaf_for(self, root: RootAuthority, name: str) -> LeafCertificate:
         """The 90-day leaf ``root`` issues for ``name``, signed once per material."""

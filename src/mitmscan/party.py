@@ -22,6 +22,13 @@ class PackageAnnotation:
     provider: str | None = None
 
     def __post_init__(self):
+        # attribute() joins prefix to strings and branches on is_third_party.
+        if not (
+            type(self.prefix) is str
+            and type(self.is_third_party) is bool
+            and all(v is None or type(v) is str for v in (self.library_name, self.provider))
+        ):
+            raise ValueError(f"annotation {self.prefix!r} has a field of the wrong type")
         if not self.prefix:
             raise ValueError("prefix must be non-empty")
         if self.is_third_party and not (self.library_name and self.provider):

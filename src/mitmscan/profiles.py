@@ -35,7 +35,8 @@ PINNING_MODES = ("none", "pin_leaf", "pin_root")
 
 
 def _list_of(kind: type):
-    return lambda value: isinstance(value, list) and all(isinstance(v, kind) for v in value)
+    # type(), not isinstance: a JSON true is a bool, and a bool would pass as an int.
+    return lambda value: isinstance(value, list) and all(type(v) is kind for v in value)
 
 
 # Each condition_params key: the check on its value, the behavior codes or

@@ -57,27 +57,23 @@ EXCLUSIVE_TRUST_FLAWS = ("T2-A", "T2-B", "T2-C", "T2-D")
 MAX_LABELS = 3
 
 
-class LabelError(ValueError):
-    """A label set violates the taxonomy invariants and cannot be repaired."""
-
-
 def validate_labels(labels: set[str], interface_kind: str) -> None:
-    """Raise :class:`LabelError` on any invariant violation."""
+    """Raise ValueError on any invariant violation."""
     family = FAMILY_BY_KIND.get(interface_kind)
     if family is None:
-        raise LabelError(f"unknown interface kind: {interface_kind}")
+        raise ValueError(f"unknown interface kind: {interface_kind}")
     if not labels:
-        raise LabelError("label set must be non-empty")
+        raise ValueError("label set must be non-empty")
     bad = labels - set(family)
     if bad:
-        raise LabelError(f"labels {sorted(bad)} not legal for {interface_kind}")
+        raise ValueError(f"labels {sorted(bad)} not legal for {interface_kind}")
     if len(labels) > MAX_LABELS:
-        raise LabelError(f"label set exceeds {MAX_LABELS} labels: {sorted(labels)}")
+        raise ValueError(f"label set exceeds {MAX_LABELS} labels: {sorted(labels)}")
     if len(labels) > 1 and labels & (SECURE_LABELS | UNKNOWN_LABELS):
-        raise LabelError(f"secure/unknown labels must stand alone: {sorted(labels)}")
+        raise ValueError(f"secure/unknown labels must stand alone: {sorted(labels)}")
     exclusive = labels & set(EXCLUSIVE_TRUST_FLAWS)
     if len(exclusive) > 1:
-        raise LabelError(f"mutually exclusive flaws together: {sorted(exclusive)}")
+        raise ValueError(f"mutually exclusive flaws together: {sorted(exclusive)}")
 
 
 def repair_labels(labels: list[str], interface_kind: str) -> set[str]:
@@ -89,12 +85,12 @@ def repair_labels(labels: list[str], interface_kind: str) -> set[str]:
     """
     unknown = UNKNOWN_BY_KIND.get(interface_kind)
     if unknown is None:
-        raise LabelError(f"unknown interface kind: {interface_kind}")
+        raise ValueError(f"unknown interface kind: {interface_kind}")
     kept: set[str] = set()
     for label in labels:
         try:
             validate_labels(kept | {label}, interface_kind)
-        except LabelError as exc:
+        except ValueError as exc:
             log.info("dropping %r: %s", label, exc)
             continue
         kept.add(label)

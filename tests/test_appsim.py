@@ -19,7 +19,6 @@ from mitmscan.appsim import (
     parse_action_reply,
     perform_flow,
 )
-from mitmscan.certforge import DEFAULT_NOW
 from mitmscan.engine import Listener, MitmEngine, forge_for
 from mitmscan.flowledger import POLICY_ALWAYS, FlowLedger
 from mitmscan.profiles import ClientProfile
@@ -158,7 +157,6 @@ def test_execute_session_routes_and_counts(material, ledger_file):
             {"a.example.com"},
             engine.address,
             material.client_store,
-            DEFAULT_NOW,
         )
     assert [(f.route, f.accepted, f.error) for f in session.flows] == [
         ("MITM", False, None),
@@ -189,7 +187,6 @@ def test_back_returns_to_the_screen_before(material):
         set(),
         ("127.0.0.1", 1),
         material.client_store,
-        DEFAULT_NOW,
     )
     # a, b, c, back (to A), x, back (to home); a back to home would never reach x
     assert [f.fqdn for f in session.flows] == ["c.example.com", "x.example.com"]
@@ -207,7 +204,6 @@ def test_time_budget_marks_partial(material):
         set(),
         ("127.0.0.1", 1),
         material.client_store,
-        DEFAULT_NOW,
     )
     assert session.partial
     assert session.steps_taken == 1
@@ -236,7 +232,7 @@ def _flow_against_reply(material, *parts):
     try:
         result = perform_flow(
             two_screen_app(), FlowSpec("a.example.com"), address,
-            material.client_store, DEFAULT_NOW,
+            material.client_store,
         )
     finally:
         stub.stop()
@@ -290,7 +286,7 @@ def test_flow_stalled_after_the_handshake_closes_its_socket(material, monkeypatc
     app.profile = ClientProfile(trust_behavior=trust_behavior, hostname_behavior="H1")
     try:
         result = perform_flow(
-            app, FlowSpec("a.example.com"), address, material.client_store, DEFAULT_NOW,
+            app, FlowSpec("a.example.com"), address, material.client_store,
         )
         gc.collect()  # a socket left open would warn here, and the warning is an error
     finally:

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from mitmscan.classifier import (
     LLM_ATTEMPTS,
     LLM_WORKERS,
-    BackendError,
     Snippet,
-    SnippetParseError,
     _swallowed_validation,
     blank_comments_and_literals,
     build_prompt,
@@ -51,7 +49,7 @@ def test_extract_method_body():
     """
     body = extract_method_body(src, "checkServerTrusted")
     assert "throw new RuntimeException()" in body
-    with pytest.raises(SnippetParseError):
+    with pytest.raises(ValueError, match="no declaration"):
         extract_method_body("class C {}", "checkServerTrusted")
 
 
@@ -99,8 +97,8 @@ def _char_loop_extract(source_text, method_name):
                 depth -= 1
                 if depth == 0:
                     return rest[brace + 1 : j]
-        raise SnippetParseError(f"unbalanced braces in {method_name}")
-    raise SnippetParseError(f"no declaration of {method_name} found")
+        raise ValueError(f"unbalanced braces in {method_name}")
+    raise ValueError(f"no declaration of {method_name} found")
 
 
 def _char_loop_swallowed(body):
@@ -168,7 +166,7 @@ _JAVA = st.lists(
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except SnippetParseError as exc:
+    except ValueError as exc:
         return ("raised", str(exc))
 
 
@@ -265,7 +263,7 @@ def test_classify_llm_retries_then_fails():
     def dead(prompt):
         raise ConnectionError("down")
 
-    with pytest.raises(BackendError):
+    with pytest.raises(ConnectionError, match="down"):
         classify_llm(snippet, dead)
 
 
@@ -290,7 +288,7 @@ def test_classify_llm_batch_stops_at_the_first_failure():
         calls.append(1)
         raise ConnectionError("down")
 
-    with pytest.raises(BackendError):
+    with pytest.raises(ConnectionError, match="down"):
         classify_llm_batch(snippets, dead)
     assert LLM_ATTEMPTS <= len(calls) <= LLM_ATTEMPTS * LLM_WORKERS
 

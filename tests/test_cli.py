@@ -351,6 +351,8 @@ def test_malformed_corpus_exits_2(tmp_path, capsys):
         "missing_snippet": json.dumps({**manifest, "Missing.java": manifest[first]}),
         "not_json": "{oops",
         "not_an_object": "[]",
+        "labels_object": json.dumps({**manifest, first: {**manifest[first], "labels": {"H2-A": 1}}}),
+        "labels_string": json.dumps({**manifest, first: {**manifest[first], "labels": "T1"}}),
     }
     for name, text in cases.items():
         corpus = tmp_path / name
@@ -393,7 +395,7 @@ def test_report_with_missing_classification_exits_2(scan_dir, tmp_path):
     assert report["classification"] == json.loads(classification.read_text())
 
 
-def test_report_with_bad_annotations_exits_2(scan_dir, tmp_path):
+def test_report_with_bad_annotations_exits_2(scan_dir, tmp_path, capsys):
     args = ["report", "--scan", str(scan_dir), "--out", str(tmp_path / "rep")]
     assert main(args + ["--annotations", str(tmp_path / "missing.json")]) == EXIT_USAGE
     no_library = tmp_path / "no_library.json"
@@ -404,6 +406,18 @@ def test_report_with_bad_annotations_exits_2(scan_dir, tmp_path):
                          ' {"prefix": "com.x", "is_third_party": true,'
                          '  "library_name": "X", "provider": "XCo"}]')
     assert main(args + ["--annotations", str(both_ways)]) == EXIT_USAGE
+    wrong_types = [
+        {"prefix": 5, "is_third_party": False},
+        {"prefix": "com.x", "is_third_party": "false"},
+        {"prefix": "com.x", "is_third_party": True, "library_name": ["X"], "provider": "XCo"},
+        {"prefix": "com.x", "is_third_party": True, "library_name": "X", "provider": 1},
+    ]
+    for i, entry in enumerate(wrong_types):
+        path = tmp_path / f"wrong_type_{i}.json"
+        path.write_text(json.dumps([entry]))
+        assert main(args + ["--annotations", str(path)]) == EXIT_USAGE, entry
+    assert "internal error" not in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def _locate_and_report(scan, out):

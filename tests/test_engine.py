@@ -3,17 +3,22 @@ import gc
 import importlib
 import json
 import logging
+import logging.handlers
+import os
 import socket
 import ssl
 import statistics
 import struct
 import sys
+import tempfile
 import threading
 import time
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mitmscan import appsim
 from mitmscan.appsim import Action, FlowSpec, Screen, SyntheticApp, perform_flow
@@ -79,7 +84,6 @@ def _run_one(ledger_file, material, test, profile, channel="native", policy=POLI
             FlowSpec("svc.example.com", channel),
             engine.address,
             material.client_store,
-            DEFAULT_NOW,
         )
     return read(), result
 
@@ -127,7 +131,6 @@ def test_engine_skip_policy(material, ledger_file):
                 FlowSpec("svc.example.com", "native"),
                 engine.address,
                 material.client_store,
-                DEFAULT_NOW,
             )
     assert [r.outcome for r in read()] == ["vulnerable", "skipped"]
 
@@ -203,7 +206,6 @@ def test_a_leaf_that_cannot_be_served_records_its_flow_inconclusive(
                     FlowSpec(fqdn, "native"),
                     engine.address,
                     material.client_store,
-                    DEFAULT_NOW,
                 )
                 for fqdn in ("broken.example.com", "svc.example.com")
             ]
@@ -235,7 +237,6 @@ def test_t2_engine_builds_one_context_for_every_host(context_loads, ledger_file)
                 FlowSpec(fqdn, "native"),
                 engine.address,
                 material.client_store,
-                DEFAULT_NOW,
             )
     assert len(context_loads) == 1
     assert [r.outcome for r in read()] == ["vulnerable", "vulnerable"]
@@ -262,7 +263,6 @@ def test_skipped_flows_are_recorded_and_not_intercepted(monkeypatch, context_loa
                 FlowSpec("svc.example.com", "native"),
                 engine.address,
                 material.client_store,
-                DEFAULT_NOW,
             )
             with socket.create_connection(engine.address, timeout=5) as sock:
                 sock.sendall(_preamble())
@@ -322,7 +322,6 @@ def test_accepting_flows_wait_for_no_delayed_ack(material):
                 FlowSpec("svc.example.com", "native"),
                 engine.address,
                 material.client_store,
-                DEFAULT_NOW,
             )
             durations.append(time.perf_counter() - started)
             assert result.accepted is True
@@ -357,7 +356,6 @@ def test_stop_waits_for_every_flow_record(material, profile, outcome, ledger_fil
                 FlowSpec(fqdn, "native"),
                 engine.address,
                 material.client_store,
-                DEFAULT_NOW,
             )
     records = read()
     assert [r.fqdn for r in records] == fqdns
@@ -574,7 +572,6 @@ def test_malformed_preamble_is_dropped_and_logged(material, caplog, preamble, pr
                 FlowSpec("svc.example.com", "native"),
                 engine.address,
                 material.client_store,
-                DEFAULT_NOW,
             )
     assert result.accepted is False
     assert [r.outcome for r in read()] == ["secure"]
@@ -772,7 +769,6 @@ def test_mixed_case_host_is_forged_for_the_name_the_ledger_records(material, tes
             FlowSpec("API.Example.com", "native"),
             engine.address,
             material.client_store,
-            DEFAULT_NOW,
         )
     assert result.error is None
     assert [(r.fqdn, r.outcome) for r in read()] == [("api.example.com", "vulnerable")]
@@ -801,7 +797,6 @@ def test_hostile_clients_hold_up_no_honest_flow(material, ledger_file):
                 FlowSpec("svc.example.com", "native"),
                 engine.address,
                 material.client_store,
-                DEFAULT_NOW,
             )
             elapsed = time.perf_counter() - started
         finally:
@@ -841,7 +836,6 @@ def test_next_flow_decides_on_the_flow_before(material, policy, profile, first, 
                     FlowSpec("svc.example.com", channel),
                     engine.address,
                     material.client_store,
-                    DEFAULT_NOW,
                 )
     assert [(r.app_id, r.channel, r.outcome) for r in read()] == [
         (app.app_id, channel, outcome)
@@ -867,7 +861,6 @@ def test_concurrent_flows_land_once_each_in_file_order(material, tmp_path):
             FlowSpec("svc.example.com", "native"),
             engine.address,
             material.client_store,
-            DEFAULT_NOW,
         )
 
     interval = sys.getswitchinterval()
@@ -889,3 +882,80 @@ def test_concurrent_flows_land_once_each_in_file_order(material, tmp_path):
     outcomes = {r.app_id: r.outcome for r in read_ledger(path)}
     assert [outcomes[app.app_id] for app in apps] == ["vulnerable", "secure"] * 4
 
+
+
+_BAD_HOSTS = ("a..example.com", "*.example.com", "café.example.com", "-a.example.com", "")
+
+
+@st.composite
+def _wire_clients(draw):
+    """Up to 8 connections, each as (bytes sent, cut points, valid); a valid one's app id
+    is ``com.fuzz.c<index>``."""
+    clients = []
+    for i in range(draw(st.integers(1, 8))):
+        app_id = f"com.fuzz.c{i}"
+        kind = draw(st.sampled_from(
+            ["valid", "unterminated", "not-json", "not-an-object", "bad-host", "unknown-channel"]
+        ))
+        if kind == "valid":
+            channel = draw(st.sampled_from(CHANNELS))
+            data = _preamble(app_id=app_id, channel=channel) + draw(st.binary(max_size=32))
+        elif kind == "unterminated":
+            line = _preamble(app_id=app_id)
+            data = line[: draw(st.integers(1, len(line) - 1))]
+        elif kind == "not-json":
+            data = b"not json " + draw(st.binary(max_size=16)).replace(b"\n", b"") + b"\n"
+        elif kind == "not-an-object":
+            value = draw(st.one_of(st.none(), st.integers(), st.text(max_size=8),
+                                   st.lists(st.integers(), max_size=3)))
+            data = json.dumps(value).encode() + b"\n"
+        elif kind == "bad-host":
+            data = _preamble(app_id=app_id, fqdn=draw(st.sampled_from(_BAD_HOSTS)))
+        else:
+            data = _preamble(app_id=app_id, channel=draw(st.text(max_size=8).filter(
+                lambda c: c not in CHANNELS)))
+        cuts = sorted(draw(st.lists(st.integers(0, len(data)), max_size=4)))
+        clients.append((data, cuts, kind == "valid"))
+    return clients
+
+
+def _send_in_splits(address, data: bytes, cuts: list[int]) -> None:
+    """Send ``data`` cut at ``cuts``, then shut the write side and read to the engine's close."""
+    try:
+        with socket.create_connection(address, timeout=5) as sock:
+            for start, end in zip([0, *cuts], [*cuts, len(data)]):
+                if end > start:
+                    sock.sendall(data[start:end])
+            sock.shutdown(socket.SHUT_WR)
+            _read_to_eof(sock)
+    except OSError:
+        pass  # an engine that closes with bytes of ours unread sends a reset
+
+
+@settings(max_examples=40, deadline=None)
+@given(clients=_wire_clients())
+def test_every_connection_is_recorded_or_dropped_once(material, clients):
+    """One record per valid preamble, one warning per invalid one, no traceback, and
+    nothing of the engine left after ``stop()``, however the bytes are split."""
+    threads_before = set(threading.enumerate())
+    fds_before = set(os.listdir("/proc/self/fd"))
+    handler = logging.handlers.BufferingHandler(capacity=10_000)
+    engine_log = logging.getLogger("mitmscan.engine")
+    engine_log.addHandler(handler)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ledger.jsonl"
+            with MitmEngine(material, "T1", POLICY_ALWAYS, FlowLedger(path), grace_seconds=0.3) as engine:
+                for data, cuts, _ in clients:
+                    _send_in_splits(engine.address, data, cuts)
+            recorded = sorted(r.app_id for r in read_ledger(path))
+    finally:
+        engine_log.removeHandler(handler)
+    assert recorded == sorted(f"com.fuzz.c{i}" for i, (*_, valid) in enumerate(clients) if valid)
+    messages = [r.getMessage() for r in handler.buffer]
+    dropped = [m for m in messages if m.startswith("dropping connection: preamble ")]
+    assert len(dropped) == sum(not valid for *_, valid in clients)
+    assert not any("connection handler error" in m for m in messages)
+    assert not any(r.exc_info for r in handler.buffer)
+    assert set(threading.enumerate()) <= threads_before
+    assert set(os.listdir("/proc/self/fd")) <= fds_before

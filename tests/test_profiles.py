@@ -50,6 +50,7 @@ def test_profile_validation():
     {"pinning": "pin_leaf", "condition_params": {"pinned_fingerprints": None}},
     {"webview_behavior": "W2B", "condition_params": {"ignored_error_codes": 3}},
     {"webview_behavior": "W2B", "condition_params": {"ignored_error_codes": ["3"]}},
+    {"webview_behavior": "W2B", "condition_params": {"ignored_error_codes": [True]}},
     {"hostname_behavior": "H2B", "condition_params": {"match_mode": "prefix"}},
     {"webview_behavior": "W2C", "condition_params": {"insecure_state": 1}},
     {"webview_behavior": "W2A", "condition_params": {"user_accepts": "yes"}},

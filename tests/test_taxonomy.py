@@ -17,7 +17,6 @@ from mitmscan.taxonomy import (
     TAXONOMY,
     UNKNOWN_BY_KIND,
     UNKNOWN_LABELS,
-    LabelError,
     repair_labels,
     validate_labels,
 )
@@ -49,14 +48,14 @@ def test_valid_sets_pass():
     ],
 )
 def test_invalid_sets_rejected(labels, kind):
-    with pytest.raises(LabelError):
+    with pytest.raises(ValueError):
         validate_labels(labels, kind)
 
 
 def test_unknown_interface_kind():
-    with pytest.raises(LabelError):
+    with pytest.raises(ValueError, match="unknown interface kind"):
         validate_labels({"T1"}, "certificate_pinner")
-    with pytest.raises(LabelError):
+    with pytest.raises(ValueError, match="unknown interface kind"):
         repair_labels(["T1"], "certificate_pinner")
 
 
@@ -102,7 +101,7 @@ def test_repair_keeps_each_label_validate_accepts(kind, labels):
     for i, label in enumerate(labels):
         if label in family and label not in result:
             kept_before = {l for l in labels[:i] if l in result}
-            with pytest.raises(LabelError):
+            with pytest.raises(ValueError):
                 validate_labels(kept_before | {label}, kind)
 
 
