@@ -91,7 +91,9 @@ class SyntheticApp:
             raise ValueError(f"start screen {self.start_screen!r} not defined")
         if not self.screens[self.start_screen].actions:
             raise ValueError(f"start screen {self.start_screen!r} has no action")
-        for screen in self.screens.values():
+        for key, screen in self.screens.items():
+            if key != screen.name:
+                raise ValueError(f"screen {screen.name!r} is filed under {key!r}")
             labels = [action.label for action in screen.actions]
             if BACK_ACTION in labels or len(set(labels)) != len(labels):
                 raise ValueError(f"screen {screen.name!r} repeats a label or uses {BACK_ACTION!r}")

@@ -43,6 +43,8 @@ class Snippet:
     def __post_init__(self):
         if not self.source_text:
             raise ValueError("source_text must be non-empty")
+        if type(self.focus_class) is not str:
+            raise ValueError(f"focus_class must be a string, got {self.focus_class!r}")
         expected = FOCUS_METHODS.get(self.interface_kind)
         if expected is None:
             raise ValueError(f"unknown interface_kind: {self.interface_kind}")

@@ -45,6 +45,12 @@ def _load_json(path):
     return json.loads(Path(path).read_text())
 
 
+def _write_json(path: Path, data) -> None:
+    """Write ``data`` to ``path`` as indented, key-sorted JSON, making its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
 # -- scan ----------------------------------------------------------------------
 
 
@@ -96,7 +102,8 @@ def run_scan(
     engines; a host no flow can request is a ConfigError. ``out`` gets one
     ledger per test, and ``events.jsonl``, ``fleet.json`` and
     ``scan_report.json`` built from the ledgers as ``read_ledger`` reads
-    them, each written anew.
+    them, each written anew. A record of an app outside ``apps`` counts
+    everywhere but in the per-app stats, and one warning names its app.
     """
     started = time.monotonic()
     if allowlist is None:
@@ -112,6 +119,7 @@ def run_scan(
     }
     events: list[locator.ValidationEvent] = []
     entity_summaries = {}
+    foreign: set[str] = set()
     for test in TESTS:
         ledger_path = out / f"ledger_{test}.jsonl"
         ledger = FlowLedger(ledger_path)
@@ -126,15 +134,18 @@ def run_scan(
                 stats["partial"] = stats["partial"] or session.partial
         records = read_ledger(ledger_path)
         for rec in records:
-            if rec.outcome == "skipped":
-                continue
-            events.append(_event_for_flow(rec, material))
-            if rec.outcome == "vulnerable":
+            if rec.outcome != "skipped":
+                events.append(_event_for_flow(rec, material))
+            if rec.app_id not in per_app:
+                foreign.add(rec.app_id)
+            elif rec.outcome == "vulnerable":
                 vuln = per_app[rec.app_id]["vulnerable"].setdefault(test, [])
                 entry = {"fqdn": rec.fqdn, "channel": rec.channel}
                 if entry not in vuln:
                     vuln.append(entry)
         entity_summaries[test] = metrics.entities(records)
+    if foreign:
+        log.warning("ledgers hold flows of apps outside the fleet: %s", sorted(foreign))
 
     locator.save_events(events, out / "events.jsonl")
     fleet.save_fleet(apps, out / "fleet.json")
@@ -145,7 +156,7 @@ def run_scan(
         "entities": entity_summaries,
         "elapsed_seconds": 0.0 if freeze_time else round(time.monotonic() - started, 3),
     }
-    (out / "scan_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "scan_report.json", report)
 
 
 def cmd_scan(args) -> int:
@@ -181,7 +192,7 @@ def cmd_locate(args) -> int:
         "unmatched_flows": sorted([list(f.identity) for f in unmatched]),
         "coverage": locator.coverage(attributions, vulnerable),
     }
-    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(Path(args.out), report)
     print(f"located {len(attributions)} code locations, {len(unmatched)} unmatched flows")
     return EXIT_OK
 
@@ -232,7 +243,7 @@ def cmd_classify(args) -> int:
         "predictions": {sid: sorted(labels) for sid, labels in sorted(predictions.items())},
         "evaluation": evaluation,
     }
-    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(Path(args.out), report)
     exact = sum(1 for sid in truth if predictions[sid] == truth[sid])
     print(f"classified {len(truth)} snippets, {exact} exact matches")
     return EXIT_OK
@@ -248,25 +259,20 @@ def cmd_report(args) -> int:
         for test in TESTS
     }
     annotations = _read(party.load_annotations, args.annotations, "annotations")
-    events_path = scan_dir / "events.jsonl"
-    party_report = None
-    if events_path.exists():
-        events = _read(locator.load_events, events_path, "events")
-        party_report = {"parties": party.attribute(events, annotations)}
+    events = _read(locator.load_events, scan_dir / "events.jsonl", "events")
 
     report = {
         "generated_at": wall_clock(args.freeze_time),
         "prevalence": prevalence_by_test,
-        "party_attribution": party_report,
+        "party_attribution": {"parties": party.attribute(events, annotations)},
         "cdf_files": ["cdf_per_app_ratio.csv"],
     }
     if args.classification:
         report["classification"] = _read(_load_json, args.classification, "classification")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "report.json", report)
     ratios = [r for stats in prevalence_by_test.values() for r in stats["per_app_ratio"]["values"]]
     metrics.write_cdf_csv(metrics.cdf(ratios), out / "cdf_per_app_ratio.csv")
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"report written to {out / 'report.json'}")
     return EXIT_OK
 

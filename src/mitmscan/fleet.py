@@ -7,16 +7,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .appsim import Action, FlowSpec, Screen, SyntheticApp
-from .certforge import DEFAULT_NOW, fingerprint
-from .engine import MitmMaterial, forge_for
-from .flowledger import TESTS
-from .profiles import (
-    HOSTNAME_BEHAVIORS,
-    TRUST_BEHAVIORS,
-    WEBVIEW_BEHAVIORS,
-    ClientProfile,
-    client_accepts,
-)
+from .certforge import fingerprint
+from .engine import MitmMaterial
+from .profiles import HOSTNAME_BEHAVIORS, TRUST_BEHAVIORS, WEBVIEW_BEHAVIORS, ClientProfile
 
 
 def _app(app_id: str, fqdns: list[str], profile: ClientProfile) -> SyntheticApp:
@@ -77,26 +70,6 @@ def demo_fleet(material: MitmMaterial) -> list[SyntheticApp]:
             pinning="pin_root", condition_params={"pinned_fingerprints": [pin_root_fp]})),
     ]
     return apps
-
-
-def expected_truth_table(
-    apps: list[SyntheticApp], material: MitmMaterial
-) -> dict[tuple[str, str, str, str], str]:
-    """(app_id, fqdn, test, channel) -> expected outcome under interception."""
-    table = {}
-    for app in apps:
-        for fqdn in app.fqdns():
-            for test in TESTS:
-                leaf = forge_for(test, fqdn, material)
-                chain = [leaf.cert, leaf.issuer.self_signed_cert]
-                for channel in ("native", "webview"):
-                    ok = client_accepts(
-                        app.profile, chain, fqdn, channel, material.client_store, DEFAULT_NOW
-                    )
-                    table[(app.app_id, fqdn, test, channel)] = (
-                        "vulnerable" if ok else "secure"
-                    )
-    return table
 
 
 def save_fleet(apps: list[SyntheticApp], path: str | Path) -> None:

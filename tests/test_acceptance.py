@@ -6,13 +6,14 @@ import hashlib
 import random
 import re
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from mitmscan import cli, metrics
 from mitmscan.appsim import ScanConfig
 from mitmscan.certforge import DEFAULT_NOW, CertConfig, issue_leaf, make_root, verify_chain
 from mitmscan.classifier import classify_rule, load_corpus
-from mitmscan.fleet import demo_fleet, expected_truth_table
+from mitmscan.fleet import demo_fleet
 from mitmscan.flowledger import (
     POLICY_ALWAYS,
     POLICY_ONCE,
@@ -46,10 +47,12 @@ def _report(capsys, name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def test_truth_table_conformance(material, tmp_path, capsys):
+def test_truth_table_conformance(material, expect, root_fingerprints, tmp_path, capsys):
+    """Every ledger record holds the outcome perfbench's table, written apart from the
+    program's oracle, predicts for its app's profile."""
     started = time.monotonic()
     apps = demo_fleet(material)
-    expected = expected_truth_table(apps, material)
+    profiles = {app.app_id: asdict(app.profile) for app in apps}
     config = ScanConfig(strategy="scripted", policy=POLICY_ALWAYS, seed=7)
     cli.run_scan(config, apps, None, tmp_path, material, freeze_time=True)
     mismatches = []
@@ -57,7 +60,10 @@ def test_truth_table_conformance(material, tmp_path, capsys):
     for test in TESTS:
         for rec in read_ledger(tmp_path / f"ledger_{test}.jsonl"):
             total += 1
-            want = expected[(rec.app_id, rec.fqdn, test, rec.channel)]
+            accepts = expect.accepts(
+                profiles[rec.app_id], test, rec.fqdn, rec.channel, root_fingerprints
+            )
+            want = "vulnerable" if accepts else "secure"
             if rec.outcome != want:
                 mismatches.append((rec.app_id, test, rec.channel, rec.outcome, want))
     elapsed = time.monotonic() - started

@@ -75,6 +75,14 @@ def test_app_graph_validation():
     assert two_screen_app().fqdns() == ["a.example.com", "b.example.com"]
 
 
+def test_a_screen_filed_under_another_name_is_refused():
+    """``back`` looks up the screen name it kept, so each key must be its screen's name."""
+    screens = {"home": Screen(name="main", actions=(Action(label="a", goto="A"),)),
+               "A": Screen(name="A", actions=(Action(label="x"),))}
+    with pytest.raises(ValueError, match="screen 'main' is filed under 'home'"):
+        SyntheticApp(app_id="x", profile=ClientProfile(), screens=screens, start_screen="home")
+
+
 def test_next_action_random_is_seeded():
     app = two_screen_app()
     rng1, rng2 = random.Random(5), random.Random(5)

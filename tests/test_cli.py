@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mitmscan import cli
+from mitmscan import appsim, cli
 from mitmscan.appsim import Action, FlowSpec, ScanConfig, Screen, SyntheticApp
 from mitmscan.cli import EXIT_OK, EXIT_USAGE, main
 from mitmscan.engine import MitmMaterial, forge_for
@@ -158,6 +159,38 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         assert main(["scan", "--fleet", str(fleet), "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
     assert "internal error" not in capsys.readouterr().err
+
+
+def test_a_flow_of_an_app_outside_the_fleet_does_not_stop_the_scan(
+    material, tmp_path, monkeypatch, caplog
+):
+    """A local client that names an app the fleet lacks gets its flows tested and
+    recorded; the scan still runs all three tests and writes every file."""
+    execute_session = appsim.execute_session
+
+    def with_a_stranger(app, config, mitm_hosts, engine_addr, store, llm=None):
+        if app.app_id == "com.fleet.t1":
+            stranger = dataclasses.replace(app, app_id="evil.local")
+            appsim.perform_flow(stranger, FlowSpec("t1.example.com"), engine_addr, store)
+        return execute_session(app, config, mitm_hosts, engine_addr, store, llm=llm)
+
+    monkeypatch.setattr(appsim, "execute_session", with_a_stranger)
+    config = ScanConfig(strategy="scripted", policy=POLICY_ALWAYS, seed=7)
+    with caplog.at_level(logging.WARNING, logger="mitmscan.cli"):
+        cli.run_scan(config, demo_fleet(material), None, tmp_path, material, freeze_time=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "events.jsonl", "fleet.json", "ledger_T1.jsonl", "ledger_T2.jsonl", "ledger_T3.jsonl",
+        "scan_report.json"]
+    strangers = {test: [r.outcome for r in read_ledger(tmp_path / f"ledger_{test}.jsonl")
+                        if r.app_id == "evil.local"] for test in TESTS}
+    assert strangers == {"T1": ["vulnerable"], "T2": ["vulnerable"], "T3": ["vulnerable"]}
+    assert sum('"evil.local"' in line
+               for line in (tmp_path / "events.jsonl").read_text().splitlines()) == 3
+    report = json.loads((tmp_path / "scan_report.json").read_text())
+    assert "evil.local" not in report["apps"] and len(report["apps"]) == 20
+    assert all(report["entities"][test]["apps"] == 21 for test in TESTS)
+    warnings = [r.getMessage() for r in caplog.records if r.name == "mitmscan.cli"]
+    assert warnings == ["ledgers hold flows of apps outside the fleet: ['evil.local']"]
 
 
 def test_hosts_sharing_a_first_label_are_each_scanned(tmp_path):
@@ -317,7 +350,7 @@ def test_external_llm_backend_drives_scan(tmp_path, monkeypatch, caplog):
 
 
 def test_locate_command(scan_dir, tmp_path):
-    out = tmp_path / "locate.json"
+    out = tmp_path / "new" / "locate.json"  # locate makes the directory of its --out
     code = main(
         [
             "locate",
@@ -334,7 +367,7 @@ def test_locate_command(scan_dir, tmp_path):
 
 
 def test_classify_command(tmp_path):
-    out = tmp_path / "classify.json"
+    out = tmp_path / "new" / "classify.json"  # classify makes the directory of its --out
     assert main(["classify", "--corpus", CORPUS, "--out", str(out)]) == EXIT_OK
     report = json.loads(out.read_text())
     assert report["backend"] == "rule"
@@ -353,6 +386,10 @@ def test_malformed_corpus_exits_2(tmp_path, capsys):
         "not_an_object": "[]",
         "labels_object": json.dumps({**manifest, first: {**manifest[first], "labels": {"H2-A": 1}}}),
         "labels_string": json.dumps({**manifest, first: {**manifest[first], "labels": "T1"}}),
+        "focus_class_list": json.dumps(
+            {**manifest, first: {**manifest[first], "focus_class": ["a.B"]}}),
+        "focus_class_number": json.dumps(
+            {**manifest, first: {**manifest[first], "focus_class": 5}}),
     }
     for name, text in cases.items():
         corpus = tmp_path / name
@@ -379,6 +416,16 @@ def test_report_command(scan_dir, tmp_path):
     assert (out / "cdf_per_app_ratio.csv").exists()
     assert report["party_attribution"] is not None
     assert main(["report", "--scan", str(tmp_path / "missing"), "--out", str(out)]) == EXIT_USAGE
+
+
+def test_report_on_a_scan_without_events_exits_2(scan_dir, tmp_path, capsys):
+    scan = tmp_path / "scan"
+    shutil.copytree(scan_dir, scan)
+    (scan / "events.jsonl").unlink()
+    out = tmp_path / "rep"
+    assert main(["report", "--scan", str(scan), "--out", str(out)]) == EXIT_USAGE
+    assert "events" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_with_missing_classification_exits_2(scan_dir, tmp_path):

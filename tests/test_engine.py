@@ -32,7 +32,6 @@ from mitmscan.engine import (
     _read_preamble,
     forge_for,
 )
-from mitmscan.fleet import expected_truth_table
 from mitmscan.flowledger import (
     CHANNELS,
     POLICY_ALWAYS,
@@ -86,20 +85,6 @@ def _run_one(ledger_file, material, test, profile, channel="native", policy=POLI
             material.client_store,
         )
     return read(), result
-
-
-def test_truth_table_oracle(material):
-    apps = [
-        _one_screen_app("com.test.secure", "a.example.com", ClientProfile()),
-        _one_screen_app(
-            "com.test.trusting",
-            "a.example.com",
-            ClientProfile(trust_behavior="T1", hostname_behavior="H1"),
-        ),
-    ]
-    table = expected_truth_table(apps, material)
-    assert table[("com.test.secure", "a.example.com", "T1", "native")] == "secure"
-    assert table[("com.test.trusting", "a.example.com", "T1", "native")] == "vulnerable"
 
 
 def test_engine_vulnerable_flow(material, ledger_file):

@@ -2,14 +2,14 @@ import importlib
 from dataclasses import asdict
 from pathlib import Path
 
-from mitmscan.fleet import demo_fleet, expected_truth_table, load_fleet
+from mitmscan.fleet import demo_fleet, load_fleet
 from mitmscan.profiles import HOSTNAME_BEHAVIORS, TRUST_BEHAVIORS, WEBVIEW_BEHAVIORS, ClientProfile
 
 FLAWED = [code for family in (TRUST_BEHAVIORS, HOSTNAME_BEHAVIORS, WEBVIEW_BEHAVIORS)
           for code in family[1:]]
 
 
-def test_demo_fleet_has_one_app_per_flawed_behavior_code(material):
+def test_demo_fleet_has_one_app_per_flawed_behavior_code(material, expect, root_fingerprints):
     apps = demo_fleet(material)
     assert [app.app_id for app in apps] == (
         [f"com.fleet.secure{i}" for i in range(1, 5)]
@@ -31,9 +31,10 @@ def test_demo_fleet_has_one_app_per_flawed_behavior_code(material):
                                        "condition_params": app.profile.condition_params}
                for app in pinning)
     # under the forged chains of T1 and T2 only a flawed app can be vulnerable
-    table = expected_truth_table(apps, material)
-    assert not {app_id for (app_id, _, test, _), outcome in table.items()
-                if outcome == "vulnerable" and test != "T3"} - {app.app_id for app in flawed}
+    accepting = {app.app_id for app in apps for fqdn in app.fqdns()
+                 for test in ("T1", "T2") for channel in ("native", "webview")
+                 if expect.accepts(asdict(app.profile), test, fqdn, channel, root_fingerprints)}
+    assert not accepting - {app.app_id for app in flawed}
 
 
 def test_the_benchmark_revisit_fleet_loads(tmp_path, monkeypatch):

@@ -14,7 +14,6 @@ SRC = ROOT / "src" / "mitmscan"
 
 # Names no module refers to, each kept for a reason the code cannot show.
 KEPT = {
-    "expected_truth_table": "the oracle that tests compare scan outcomes against",
     "detection_rates": "R_app and R_TLS, to be reported against the scan's truth",
     "coverage_rates": "C_UI and C_TLS, to be reported against the scan's truth",
 }

@@ -1,7 +1,5 @@
 import datetime
-import importlib.util
 from dataclasses import asdict
-from pathlib import Path
 
 import pytest
 
@@ -171,24 +169,14 @@ def test_secure_profile_verdicts():
         assert client_accepts(secure, chain, "b.example.com", channel, STORE, NOW)
 
 
-def _load_expect():
-    """perfbench/expect.py, the benchmark's oracle written apart from this package."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "expect.py"
-    spec = importlib.util.spec_from_file_location("perfbench_expect", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("fqdn", ["svc.example.com", "a.svc.example.com", "example.com"])
 @pytest.mark.parametrize("pin_root", [False, True], ids=["pin-names-no-chain", "pin-lab-root"])
-def test_client_accepts_agrees_with_the_independent_table(material, pin_root, fqdn):
+def test_client_accepts_agrees_with_the_independent_table(
+    material, expect, root_fingerprints, pin_root, fqdn
+):
     """client_accepts and perfbench's expectation table decide alike on every
     profile of the benchmark's space, under each test and channel, for a host,
     its subdomain and its parent."""
-    expect = _load_expect()
-    roots = (material.untrusted_root, material.lab_trusted_root, material.installed_root)
-    fingerprints = {root.name: root.fingerprint for root in roots}
     pin = material.lab_trusted_root.fingerprint if pin_root else "0" * 64
     chains = {}
     for test in TESTS:
@@ -200,7 +188,7 @@ def test_client_accepts_agrees_with_the_independent_table(material, pin_root, fq
         profile = ClientProfile(**data)
         for test, chain in chains.items():
             for channel in CHANNELS:
-                want = expect.accepts(data, test, fqdn, channel, fingerprints)
+                want = expect.accepts(data, test, fqdn, channel, root_fingerprints)
                 got = client_accepts(
                     profile, chain, fqdn, channel, material.client_store, DEFAULT_NOW
                 )
