@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import random
 import socket
 import ssl
@@ -47,8 +48,8 @@ class ScanConfig:
             raise ValueError(f"bad strategy: {self.strategy}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.t_wait < 0:
-            raise ValueError("t_wait must be >= 0")
+        if not (math.isfinite(self.t_wait) and self.t_wait >= 0):
+            raise ValueError("t_wait must be finite and >= 0")
         if self.t_max is not None and not self.t_max > 0:
             raise ValueError("t_max must be > 0")
 
@@ -73,38 +74,30 @@ class Action:
     goto: str | None = None
 
 
-@dataclass(frozen=True)
-class Screen:
-    name: str
-    actions: tuple[Action, ...] = ()
-
-
 @dataclass
 class SyntheticApp:
     app_id: str
     profile: ClientProfile
-    screens: dict[str, Screen]
+    screens: dict[str, tuple[Action, ...]]  # a screen's name -> its actions
     start_screen: str
 
     def __post_init__(self):
         if self.start_screen not in self.screens:
             raise ValueError(f"start screen {self.start_screen!r} not defined")
-        if not self.screens[self.start_screen].actions:
+        if not self.screens[self.start_screen]:
             raise ValueError(f"start screen {self.start_screen!r} has no action")
-        for key, screen in self.screens.items():
-            if key != screen.name:
-                raise ValueError(f"screen {screen.name!r} is filed under {key!r}")
-            labels = [action.label for action in screen.actions]
+        for screen, actions in self.screens.items():
+            labels = [action.label for action in actions]
             if BACK_ACTION in labels or len(set(labels)) != len(labels):
-                raise ValueError(f"screen {screen.name!r} repeats a label or uses {BACK_ACTION!r}")
-            for action in screen.actions:
+                raise ValueError(f"screen {screen!r} repeats a label or uses {BACK_ACTION!r}")
+            for action in actions:
                 if action.goto is not None and action.goto not in self.screens:
                     raise ValueError(f"action {action.label!r} jumps to unknown screen")
 
     def fqdns(self) -> list[str]:
         seen: dict[str, None] = {}
-        for screen in self.screens.values():
-            for action in screen.actions:
+        for actions in self.screens.values():
+            for action in actions:
                 for flow in action.flows:
                     seen.setdefault(flow.fqdn)
         return list(seen)
@@ -113,8 +106,8 @@ class SyntheticApp:
 # -- exploration strategies --------------------------------------------------
 
 
-def _candidate_actions(screen: Screen, history: list[str]) -> list[Action]:
-    actions = list(screen.actions)
+def _candidate_actions(app: SyntheticApp, screen: str, history: list[str]) -> list[Action]:
+    actions = list(app.screens[screen])
     if history:
         actions.append(Action(label=BACK_ACTION))
     return actions
@@ -122,14 +115,14 @@ def _candidate_actions(screen: Screen, history: list[str]) -> list[Action]:
 
 def next_action(
     app: SyntheticApp,
-    screen: Screen,
+    screen: str,
     rng: random.Random,
     strategy: str,
     history: list[str],
     taken: set[tuple[str, str]],
     llm=None,
 ) -> Action | None:
-    """Choose the next UI action on a screen under the given strategy.
+    """Choose the next UI action on the screen named ``screen`` under the given strategy.
 
     ``history`` names the screens ``back`` returns to, the latest last;
     ``back`` is offered exactly when it is not empty. ``scripted`` walks the
@@ -137,12 +130,12 @@ def next_action(
     ``(screen name, label)`` is not in ``taken``, else ``back``, else None
     once the walk is done.
     """
-    candidates = _candidate_actions(screen, history)
+    candidates = _candidate_actions(app, screen, history)
     if strategy == "random":
         return rng.choice(candidates)
     if strategy == "scripted":
         for action in candidates:
-            if (screen.name, action.label) not in taken:
+            if (screen, action.label) not in taken:
                 return action
         return None
     # external_llm: ask the backend, fall back to random on unusable output.
@@ -159,10 +152,10 @@ def next_action(
     return chosen
 
 
-def build_action_prompt(app: SyntheticApp, screen: Screen, candidates: list[Action]) -> str:
+def build_action_prompt(app: SyntheticApp, screen: str, candidates: list[Action]) -> str:
     labels = ", ".join(a.label for a in candidates)
     return (
-        f"You are exploring the app {app.app_id}. Current screen: {screen.name}.\n"
+        f"You are exploring the app {app.app_id}. Current screen: {screen}.\n"
         f"Available actions: {labels}.\n"
         "Reply with two lines:\n"
         "Thoughts: <one sentence>\n"
@@ -283,7 +276,7 @@ def execute_session(
     """
     rng = random.Random(f"{config.seed}:{app.app_id}")
     result = SessionResult()
-    screen = app.screens[app.start_screen]
+    screen = app.start_screen
     history: list[str] = []
     taken: set[tuple[str, str]] = set()
     started = time.monotonic()
@@ -301,12 +294,12 @@ def execute_session(
             else:
                 result.flows.append(FlowResult(spec.fqdn, spec.channel, "DIRECT", None))
         if action.label == BACK_ACTION:
-            screen = app.screens[history.pop()]
+            screen = history.pop()
         else:
-            taken.add((screen.name, action.label))
+            taken.add((screen, action.label))
             if action.goto is not None:
-                history.append(screen.name)
-                screen = app.screens[action.goto]
+                history.append(screen)
+                screen = action.goto
         if config.t_wait:
             time.sleep(config.t_wait)
     return result

@@ -134,7 +134,7 @@ def run_scan(
                 stats["partial"] = stats["partial"] or session.partial
         records = read_ledger(ledger_path)
         for rec in records:
-            if rec.outcome != "skipped":
+            if rec.outcome in ("vulnerable", "secure"):  # an inconclusive flow shows no decision
                 events.append(_event_for_flow(rec, material))
             if rec.app_id not in per_app:
                 foreign.add(rec.app_id)

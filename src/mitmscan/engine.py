@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import datetime
+import functools
 import json
 import logging
 import socket
@@ -30,7 +31,7 @@ import ssl
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .certforge import (
     DEFAULT_NOW,
@@ -59,7 +60,7 @@ def wall_clock(frozen: bool) -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity, so each material keeps its own cache entries
 class MitmMaterial:
     """Roots and stores needed by the three test categories."""
 
@@ -67,14 +68,6 @@ class MitmMaterial:
     lab_trusted_root: RootAuthority
     installed_root: RootAuthority
     config: CertConfig
-    # (issuing root name, leaf name) -> leaf, and leaf -> the server context presenting it.
-    # Both are deterministic: a race between handler threads at worst builds one twice.
-    _leaves: dict[tuple[str, str], LeafCertificate] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _served: dict[LeafCertificate, ssl.SSLContext] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def generate(cls, config: CertConfig | None = None) -> "MitmMaterial":
@@ -91,25 +84,20 @@ class MitmMaterial:
         """The roots every client trusts: the lab's and the installed one."""
         return (self.lab_trusted_root, self.installed_root)
 
+    @functools.cache
     def leaf_for(self, root: RootAuthority, name: str) -> LeafCertificate:
-        """The 90-day leaf ``root`` issues for ``name``, signed once per material."""
-        key = (root.name, name)
-        leaf = self._leaves.get(key)
-        if leaf is None:
-            leaf = self._leaves[key] = issue_leaf(root, name, [name], 90, self.config)
-        return leaf
+        """The 90-day leaf ``root`` issues for ``name``, signed once per material and root name."""
+        return issue_leaf(root, name, [name], 90, self.config)
 
+    @functools.cache
     def serve(self, leaf: LeafCertificate) -> ssl.SSLContext:
         """The server context presenting ``leaf`` and its issuer, built on first serve."""
-        ctx = self._served.get(leaf)
-        if ctx is None:
-            ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-            ctx.num_tickets = 0  # no client resumes a session
-            with tempfile.NamedTemporaryFile(suffix=".pem") as pem:  # removed on close
-                pem.write(leaf.chain_pem() + key_pem(leaf.key_pair))
-                pem.flush()
-                ctx.load_cert_chain(pem.name)
-            self._served[leaf] = ctx
+        ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        ctx.num_tickets = 0  # no client resumes a session
+        with tempfile.NamedTemporaryFile(suffix=".pem") as pem:  # removed on close
+            pem.write(leaf.chain_pem() + key_pem(leaf.key_pair))
+            pem.flush()
+            ctx.load_cert_chain(pem.name)
         return ctx
 
 

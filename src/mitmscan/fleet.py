@@ -6,7 +6,7 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-from .appsim import Action, FlowSpec, Screen, SyntheticApp
+from .appsim import Action, FlowSpec, SyntheticApp
 from .certforge import fingerprint
 from .engine import MitmMaterial
 from .profiles import HOSTNAME_BEHAVIORS, TRUST_BEHAVIORS, WEBVIEW_BEHAVIORS, ClientProfile
@@ -23,7 +23,7 @@ def _app(app_id: str, fqdns: list[str], profile: ClientProfile) -> SyntheticApp:
     return SyntheticApp(
         app_id=app_id,
         profile=profile,
-        screens={"home": Screen(name="home", actions=tuple(actions))},
+        screens={"home": tuple(actions)},
         start_screen="home",
     )
 

@@ -107,15 +107,13 @@ def trust_accepts(
     leaf = chain[0]
     if behavior == "T0":
         return verify_chain(chain, store, now)
-    if behavior == "T1":
-        # Empty check body: everything passes.
+    if behavior in ("T1", "T2B", "T2E"):
+        # T1's empty check body, T2-B's null/length guard (the chain is not empty)
+        # and T2-E's swallowed exception each accept every served chain.
         return True
     if behavior == "T2A":
         # checkValidity() only.
         return leaf.not_valid_before_utc <= now <= leaf.not_valid_after_utc
-    if behavior == "T2B":
-        # Null/length guard only.
-        return len(chain) > 0
     if behavior == "T2C":
         # Subject-string inspection only: CN/SAN must name the requested host,
         # which the caller resolves via hostname matching below. Here the
@@ -131,9 +129,6 @@ def trust_accepts(
             issuer = chain[i + 1] if i + 1 < len(chain) else cert
             if not verify_signature(cert, issuer):
                 return False
-        return True
-    if behavior == "T2E":
-        # Proper validation attempted, its exception swallowed.
         return True
     if behavior == "T2F":
         trusted = {s.lower() for s in profile.condition_params["trusted_issuers"]}
@@ -230,5 +225,5 @@ def client_accepts(
         error = induced_ssl_error(chain, requested_fqdn, store, now)
         return webview_proceeds(profile, error)
     return trust_accepts(profile, chain, store, now) and hostname_accepts(
-        profile, chain[0] if chain else None, requested_fqdn
+        profile, chain[0], requested_fqdn
     )

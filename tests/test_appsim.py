@@ -11,7 +11,6 @@ from mitmscan.appsim import (
     Action,
     FlowSpec,
     ScanConfig,
-    Screen,
     SyntheticApp,
     build_action_prompt,
     execute_session,
@@ -25,17 +24,11 @@ from mitmscan.profiles import ClientProfile
 
 
 def two_screen_app():
-    home = Screen(
-        name="home",
-        actions=(
-            Action(label="refresh", flows=(FlowSpec("a.example.com", "native"),)),
-            Action(label="settings", goto="settings"),
-        ),
+    home = (
+        Action(label="refresh", flows=(FlowSpec("a.example.com", "native"),)),
+        Action(label="settings", goto="settings"),
     )
-    settings = Screen(
-        name="settings",
-        actions=(Action(label="sync", flows=(FlowSpec("b.example.com", "webview"),)),),
-    )
+    settings = (Action(label="sync", flows=(FlowSpec("b.example.com", "webview"),)),)
     return SyntheticApp(
         app_id="com.demo.app",
         profile=ClientProfile(),
@@ -49,8 +42,9 @@ def test_scan_config_validation():
         ScanConfig(n_steps=0)
     with pytest.raises(ValueError):
         ScanConfig(n_steps=-1, t_max=1.0)  # a time budget does not stand in for steps
-    with pytest.raises(ValueError):
-        ScanConfig(t_wait=-1)
+    for t_wait in (-1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ScanConfig(t_wait=t_wait)
     for t_max in (0, -1.0):
         with pytest.raises(ValueError):
             ScanConfig(t_max=t_max)
@@ -69,47 +63,37 @@ def test_app_graph_validation():
             SyntheticApp(
                 app_id="x",
                 profile=ClientProfile(),
-                screens={"home": Screen(name="home", actions=actions)},
+                screens={"home": actions},
                 start_screen="home",
             )
     assert two_screen_app().fqdns() == ["a.example.com", "b.example.com"]
 
 
-def test_a_screen_filed_under_another_name_is_refused():
-    """``back`` looks up the screen name it kept, so each key must be its screen's name."""
-    screens = {"home": Screen(name="main", actions=(Action(label="a", goto="A"),)),
-               "A": Screen(name="A", actions=(Action(label="x"),))}
-    with pytest.raises(ValueError, match="screen 'main' is filed under 'home'"):
-        SyntheticApp(app_id="x", profile=ClientProfile(), screens=screens, start_screen="home")
-
-
 def test_next_action_random_is_seeded():
     app = two_screen_app()
     rng1, rng2 = random.Random(5), random.Random(5)
-    home = app.screens["home"]
-    picks1 = [next_action(app, home, rng1, "random", [], set()).label for _ in range(10)]
-    picks2 = [next_action(app, home, rng2, "random", [], set()).label for _ in range(10)]
+    picks1 = [next_action(app, "home", rng1, "random", [], set()).label for _ in range(10)]
+    picks2 = [next_action(app, "home", rng2, "random", [], set()).label for _ in range(10)]
     assert picks1 == picks2
 
 
 def test_next_action_scripted():
     """The screen's first action not yet taken, in screen order; then back; then None."""
     app = two_screen_app()
-    home, settings = app.screens["home"], app.screens["settings"]
 
     def label(screen, history, taken):
         action = next_action(app, screen, random.Random(0), "scripted", history, taken)
         return None if action is None else action.label
 
-    assert label(home, [], set()) == "refresh"
-    assert label(home, [], {("home", "refresh")}) == "settings"
-    assert label(settings, ["home"], {("home", "refresh"), ("home", "settings")}) == "sync"
+    assert label("home", [], set()) == "refresh"
+    assert label("home", [], {("home", "refresh")}) == "settings"
+    assert label("settings", ["home"], {("home", "refresh"), ("home", "settings")}) == "sync"
     # a pair names its screen: "sync" taken on another screen is not taken here
-    assert label(settings, ["home"], {("other", "sync")}) == "sync"
+    assert label("settings", ["home"], {("other", "sync")}) == "sync"
     everything = {("home", "refresh"), ("home", "settings"), ("settings", "sync")}
-    assert label(settings, ["home"], everything) == "back"
-    assert label(home, ["settings"], everything) == "back"
-    assert label(home, [], everything) is None
+    assert label("settings", ["home"], everything) == "back"
+    assert label("home", ["settings"], everything) == "back"
+    assert label("home", [], everything) is None
 
 
 def test_back_action_only_off_start():
@@ -118,7 +102,7 @@ def test_back_action_only_off_start():
 
     def labels(screen, history):
         return {
-            next_action(app, app.screens[screen], random.Random(i), "random", history, set()).label
+            next_action(app, screen, random.Random(i), "random", history, set()).label
             for i in range(30)
         }
 
@@ -129,8 +113,8 @@ def test_back_action_only_off_start():
 
 def test_llm_strategy_parsing_and_fallback():
     app = two_screen_app()
-    screen = app.screens["home"]
-    prompt = build_action_prompt(app, screen, list(screen.actions))
+    screen, actions = "home", list(app.screens["home"])
+    prompt = build_action_prompt(app, screen, actions)
     assert "refresh" in prompt and "Action:" in prompt
 
     good = next_action(
@@ -150,8 +134,8 @@ def test_llm_strategy_parsing_and_fallback():
     )
     assert erroring.label in {"refresh", "settings"}
 
-    assert parse_action_reply("Action: refresh", list(screen.actions)).label == "refresh"
-    assert parse_action_reply("no action line", list(screen.actions)) is None
+    assert parse_action_reply("Action: refresh", actions).label == "refresh"
+    assert parse_action_reply("no action line", actions) is None
 
 
 def test_execute_session_routes_and_counts(material, ledger_file):
@@ -180,12 +164,12 @@ def test_execute_session_routes_and_counts(material, ledger_file):
 def test_back_returns_to_the_screen_before(material):
     """home -a-> A -b-> B, back: on A again, where ``x`` (only on A) is taken next."""
     screens = {
-        "home": Screen(name="home", actions=(Action(label="a", goto="A"),)),
-        "A": Screen(name="A", actions=(
+        "home": (Action(label="a", goto="A"),),
+        "A": (
             Action(label="b", goto="B"),
             Action(label="x", flows=(FlowSpec("x.example.com"),)),
-        )),
-        "B": Screen(name="B", actions=(Action(label="c", flows=(FlowSpec("c.example.com"),)),)),
+        ),
+        "B": (Action(label="c", flows=(FlowSpec("c.example.com"),)),),
     }
     app = SyntheticApp(app_id="com.deep.app", profile=ClientProfile(), screens=screens,
                        start_screen="home")

@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import shutil
+import socket
 import subprocess
 import sys
 from dataclasses import asdict
@@ -11,11 +12,12 @@ from pathlib import Path
 import pytest
 
 from mitmscan import appsim, cli
-from mitmscan.appsim import Action, FlowSpec, ScanConfig, Screen, SyntheticApp
+from mitmscan.appsim import Action, FlowSpec, ScanConfig, SyntheticApp
 from mitmscan.cli import EXIT_OK, EXIT_USAGE, main
 from mitmscan.engine import MitmMaterial, forge_for
 from mitmscan.fleet import demo_fleet
 from mitmscan.flowledger import POLICY_ALWAYS, POLICY_UNTIL_VULNERABLE, TESTS, read_ledger
+from mitmscan.locator import load_events
 from mitmscan.profiles import ClientProfile
 
 CORPUS = str(Path(__file__).resolve().parents[1] / "src" / "mitmscan" / "data" / "corpus")
@@ -105,7 +107,8 @@ def test_trailing_dot_host_is_tested_under_its_normal_name(tmp_path):
 def test_invalid_config_exits_2(tmp_path, capsys):
     # a setting out of its range, or an allowlist host no flow can request,
     # is refused before --out is made
-    for i, flags in enumerate((["--steps", "0"], ["--wait", "-1"], ["--time-budget", "-1"],
+    for i, flags in enumerate((["--steps", "0"], ["--wait", "-1"], ["--wait", "nan"],
+                               ["--wait", "inf"], ["--time-budget", "-1"],
                                ["--time-budget", "0"], ["--allowlist", "bad_host", "*.x.com"])):
         out = tmp_path / f"out{i}"
         assert main(["scan", *flags, "--out", str(out)]) == EXIT_USAGE, flags
@@ -193,6 +196,33 @@ def test_a_flow_of_an_app_outside_the_fleet_does_not_stop_the_scan(
     assert warnings == ["ledgers hold flows of apps outside the fleet: ['evil.local']"]
 
 
+def test_an_inconclusive_flow_writes_no_event(material, tmp_path, monkeypatch):
+    """A client that reads ``test`` and closes says nothing of what its validation
+    code decided: its flow is recorded inconclusive, and only the vulnerable and
+    secure flows each write one event."""
+    execute_session = appsim.execute_session
+
+    def with_a_quitter(app, config, mitm_hosts, engine_addr, store, llm=None):
+        if app.app_id == "com.fleet.t1":
+            with socket.create_connection(engine_addr, timeout=5) as sock:
+                preamble = {"app_id": app.app_id, "fqdn": "t1.example.com", "channel": "native"}
+                sock.sendall(json.dumps(preamble).encode() + b"\n")
+                assert sock.recv(5, socket.MSG_WAITALL) == b"test\n"
+        return execute_session(app, config, mitm_hosts, engine_addr, store, llm=llm)
+
+    monkeypatch.setattr(appsim, "execute_session", with_a_quitter)
+    config = ScanConfig(strategy="scripted", policy=POLICY_ALWAYS, seed=7)
+    cli.run_scan(config, demo_fleet(material), None, tmp_path, material, freeze_time=True)
+    decided = set()
+    for test in TESTS:
+        records = read_ledger(tmp_path / f"ledger_{test}.jsonl")
+        assert [r.outcome for r in records].count("inconclusive") == 1, test
+        decided |= {f"ev-{test}-{r.ts_mono}" for r in records
+                    if r.outcome in ("vulnerable", "secure")}
+    event_ids = [e.event_id for e in load_events(tmp_path / "events.jsonl")]
+    assert sorted(event_ids) == sorted(decided)
+
+
 def test_hosts_sharing_a_first_label_are_each_scanned(tmp_path):
     """Each host's action has its own label, so the walk takes both."""
     fleet_path = tmp_path / "fleet.json"
@@ -241,11 +271,10 @@ def _deep_app():
         return Action(label=label, flows=(FlowSpec(f"{label}.example.com"),), goto=goto)
 
     screens = {
-        "home": Screen(name="home", actions=(action("h"), action("to-a", "A"),
-                                             action("to-c", "C"))),
-        "A": Screen(name="A", actions=(action("a"), action("to-b", "B"))),
-        "B": Screen(name="B", actions=(action("b"), action("to-home", "home"))),
-        "C": Screen(name="C", actions=(action("c"),)),
+        "home": (action("h"), action("to-a", "A"), action("to-c", "C")),
+        "A": (action("a"), action("to-b", "B")),
+        "B": (action("b"), action("to-home", "home")),
+        "C": (action("c"),),
     }
     return SyntheticApp(app_id="com.deep.app", profile=ClientProfile(), screens=screens,
                         start_screen="home")

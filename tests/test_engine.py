@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mitmscan import appsim
-from mitmscan.appsim import Action, FlowSpec, Screen, SyntheticApp, perform_flow
+from mitmscan.appsim import Action, FlowSpec, SyntheticApp, perform_flow
 from mitmscan.certforge import DEFAULT_NOW, cert_dns_names, verify_chain
 from mitmscan.engine import (
     ATTACKER_NAME,
@@ -70,8 +70,8 @@ def test_forge_unknown_test(material):
 
 
 def _one_screen_app(app_id, fqdn, profile, channel="native"):
-    screen = Screen(name="home", actions=(Action(label="go", flows=(FlowSpec(fqdn, channel),)),))
-    return SyntheticApp(app_id=app_id, profile=profile, screens={"home": screen}, start_screen="home")
+    home = (Action(label="go", flows=(FlowSpec(fqdn, channel),)),)
+    return SyntheticApp(app_id=app_id, profile=profile, screens={"home": home}, start_screen="home")
 
 
 def _run_one(ledger_file, material, test, profile, channel="native", policy=POLICY_ALWAYS):
@@ -232,8 +232,9 @@ def test_skipped_flows_are_recorded_and_not_intercepted(monkeypatch, context_loa
     each engine records it skipped, with no TLS version, and its client sees no verdict.
     A raw client reads exactly the line ``skip`` and then the engine's close."""
     material = MitmMaterial.generate()
-    wraps = []
+    wraps, leaves = [], []
     monkeypatch.setattr(appsim, "_client_context", lambda: wraps.append(1))
+    monkeypatch.setattr("mitmscan.engine.issue_leaf", lambda *args: leaves.append(args))
     app = _one_screen_app("com.test.app", "svc.example.com", ClientProfile())
     path, read = ledger_file
     for test in TESTS:
@@ -254,7 +255,7 @@ def test_skipped_flows_are_recorded_and_not_intercepted(monkeypatch, context_loa
                 assert _read_to_eof(sock) == b"skip\n"
         assert (result.route, result.accepted, result.error) == ("MITM", None, None)
         assert [(r.outcome, r.tls_version) for r in read()[1:]] == [("skipped", "unknown")] * 2
-    assert not material._leaves  # no leaf was issued
+    assert leaves == []
     assert context_loads == []
     assert wraps == []
 

@@ -161,6 +161,15 @@ def test_coverage_exact_fractions():
     }
 
 
+def test_coverage_of_an_app_with_one_of_two_flows_attributed():
+    """The app has one flow attributed, not all: it counts for app_one, not for app_all."""
+    vuln = [flow("app1", "a.example.com", 0), flow("app1", "b.example.com", 1)]
+    located = Attribution("pkg.CodeA.checkServerTrusted", {vuln[0].identity}, "cert_name")
+    assert coverage([located], vuln) == {
+        "fqdn_cov": 0.5, "flow_cov": 0.5, "app_all": 0.0, "app_one": 1.0
+    }
+
+
 def test_coverage_undefined_on_empty():
     assert coverage([], []) == {
         "fqdn_cov": None, "flow_cov": None, "app_all": None, "app_one": None
