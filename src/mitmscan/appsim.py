@@ -18,12 +18,14 @@ import socket
 import ssl
 import time
 from dataclasses import dataclass, field
-
-from cryptography import x509
+from typing import TYPE_CHECKING
 
 from .certforge import DEFAULT_NOW, TrustStore
 from .flowledger import CHANNELS, is_requestable, normalize_fqdn
 from .profiles import ClientProfile, client_accepts
+
+if TYPE_CHECKING:
+    from cryptography import x509
 
 log = logging.getLogger(__name__)
 
@@ -209,6 +211,7 @@ def _client_context() -> ssl.SSLContext:
 
 def served_chain(tls: ssl.SSLSocket | ssl.SSLObject) -> list[x509.Certificate]:
     """The chain the peer presented in the handshake, leaf first, unverified."""
+    from cryptography import x509
     chain = tls._sslobj.get_unverified_chain() or ()
     return [x509.load_der_x509_certificate(c.public_bytes(ssl._ssl.ENCODING_DER)) for c in chain]
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 import datetime
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from cryptography import x509
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-from cryptography.x509.oid import NameOID
+# cryptography is imported by the functions that use it, so the commands that
+# read a scan and forge nothing never load it.
+if TYPE_CHECKING:
+    from cryptography import x509
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 # The scan clock: every certificate's dates are set from it, and every client's
 # check reads it, so fixtures and verdicts are stable across runs.
@@ -59,15 +60,18 @@ TrustStore = tuple[RootAuthority, ...]
 
 def fingerprint(cert: x509.Certificate) -> str:
     """Lowercase hex SHA-256 of the DER encoding."""
+    from cryptography.hazmat.primitives import serialization
     der = cert.public_bytes(serialization.Encoding.DER)
     return hashlib.sha256(der).hexdigest()
 
 
 def cert_pem(cert: x509.Certificate) -> bytes:
+    from cryptography.hazmat.primitives import serialization
     return cert.public_bytes(serialization.Encoding.PEM)
 
 
 def key_pem(key: Ed25519PrivateKey) -> bytes:
+    from cryptography.hazmat.primitives import serialization
     return key.private_bytes(
         serialization.Encoding.PEM,
         serialization.PrivateFormat.PKCS8,
@@ -95,6 +99,7 @@ def is_valid_san(entry: str) -> bool:
 
 
 def _derive_key(config: CertConfig, purpose: str) -> Ed25519PrivateKey:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
     material = hashlib.sha256(f"{config.seed}:{purpose}:key".encode()).digest()
     return Ed25519PrivateKey.from_private_bytes(material)
 
@@ -115,6 +120,7 @@ def _sign(
     ca: RootAuthority | None,
 ) -> x509.Certificate:
     """A certificate for ``key`` named ``subject``, signed by ``ca`` or else self-signed."""
+    from cryptography import x509
     builder = (
         x509.CertificateBuilder()
         .subject_name(subject)
@@ -131,6 +137,8 @@ def _sign(
 
 def make_root(name: str, config: CertConfig | None = None) -> RootAuthority:
     """Create a self-signed CA; byte-identical across calls with the same seed."""
+    from cryptography import x509
+    from cryptography.x509.oid import NameOID
     if not name:
         raise ValueError("root authority name must be non-empty")
     config = config or CertConfig()
@@ -160,6 +168,8 @@ def issue_leaf(
     config: CertConfig | None = None,
 ) -> LeafCertificate:
     """Issue a leaf for ``cn`` with the given SANs, signed by ``ca``."""
+    from cryptography import x509
+    from cryptography.x509.oid import NameOID
     config = config or CertConfig()
     if validity_days <= 0:
         raise ValueError("validity_days must be positive")
@@ -185,6 +195,7 @@ def issue_leaf(
 
 def verify_signature(cert: x509.Certificate, issuer_cert: x509.Certificate) -> bool:
     """Whether ``issuer_cert`` names and signs ``cert``, whatever its key type."""
+    from cryptography.exceptions import InvalidSignature
     try:
         cert.verify_directly_issued_by(issuer_cert)
     except (InvalidSignature, ValueError, TypeError):
@@ -205,6 +216,7 @@ def verify_chain(chain: list[x509.Certificate], store: TrustStore, now: datetime
 def cert_san_names(cert: x509.Certificate) -> list[str]:
     """SAN DNS entries, lowercased: the only names a correct hostname check
     matches, since RFC 6125 ignores the CN when a SAN is present."""
+    from cryptography import x509
     try:
         san = cert.extensions.get_extension_for_class(x509.SubjectAlternativeName)
     except x509.ExtensionNotFound:
@@ -214,6 +226,7 @@ def cert_san_names(cert: x509.Certificate) -> list[str]:
 
 def cert_dns_names(cert: x509.Certificate) -> list[str]:
     """CN plus SAN DNS entries, lowercased."""
+    from cryptography.x509.oid import NameOID
     names = [
         str(attr.value).lower()
         for attr in cert.subject.get_attributes_for_oid(NameOID.COMMON_NAME)

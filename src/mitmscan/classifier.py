@@ -8,6 +8,7 @@ replies, repairing invariant violations deterministically.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -76,6 +77,9 @@ def blank_comments_and_literals(text: str) -> str:
     return _COMMENT_OR_LITERAL.sub(_blank, text)
 
 
+_BRACKETS = {"(": re.compile("[()]"), "{": re.compile("[{}]")}
+
+
 def _closing(text: str, start: int) -> int:
     """Index of the bracket closing ``text[start]``, a ``(`` or ``{``, or -1.
 
@@ -83,7 +87,7 @@ def _closing(text: str, start: int) -> int:
     """
     opening = text[start]
     depth = 0
-    for match in re.compile("[()]" if opening == "(" else "[{}]").finditer(text, start):
+    for match in _BRACKETS[opening].finditer(text, start):
         depth += 1 if match[0] == opening else -1
         if depth == 0:
             return match.start()
@@ -129,13 +133,20 @@ def classify_rule(snippet: Snippet) -> set[str]:
     except ValueError as exc:
         log.warning("snippet %s: %s", snippet.snippet_id, exc)
         return {UNKNOWN_BY_KIND[snippet.interface_kind]}
-    if snippet.interface_kind == "trust_manager":
+    return set(_labels(snippet.interface_kind, body))
+
+
+# Apps ship the same library code, so a corpus repeats method bodies under other
+# class names: each distinct body is labelled once, and kept for the process.
+@functools.cache
+def _labels(interface_kind: str, body: str) -> frozenset[str]:
+    if interface_kind == "trust_manager":
         labels = _classify_trust(body)
-    elif snippet.interface_kind == "hostname_verifier":
+    elif interface_kind == "hostname_verifier":
         labels = _classify_hostname(body)
     else:
         labels = _classify_webview(body)
-    return repair_labels(labels, snippet.interface_kind)
+    return frozenset(repair_labels(labels, interface_kind))
 
 
 def _is_trivial(stmt: str) -> bool:
@@ -382,7 +393,8 @@ def load_corpus(path: str | Path) -> list[tuple[Snippet, set[str]]]:
         raise ValueError("manifest.json is not a JSON object")
     corpus = []
     for filename, meta in sorted(manifest.items()):
-        source = (path / filename).read_text()
+        with open(path / filename) as file:  # the locale's encoding, as read_text() uses
+            source = file.read()
         snippet = Snippet(
             snippet_id=filename,
             source_text=source,

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
-
-from cryptography import x509
-from cryptography.x509.oid import NameOID
+from typing import TYPE_CHECKING
 
 from . import certforge
 from .certforge import (
@@ -24,6 +22,9 @@ from .certforge import (
 )
 from .locator import match_cert_names
 from .taxonomy import FAMILY_BY_KIND
+
+if TYPE_CHECKING:
+    from cryptography import x509
 
 # A behavior code is its taxonomy label without the hyphen (H2-A -> H2A); the
 # unknown label names no behavior.
@@ -91,6 +92,7 @@ class ClientProfile:
 
 
 def _issuer_cn(cert: x509.Certificate) -> str:
+    from cryptography.x509.oid import NameOID
     attrs = cert.issuer.get_attributes_for_oid(NameOID.COMMON_NAME)
     return str(attrs[0].value) if attrs else ""
 

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mitmscan import classifier
 from mitmscan.classifier import (
     LLM_ATTEMPTS,
     LLM_WORKERS,
     Snippet,
+    _labels,
     _swallowed_validation,
     blank_comments_and_literals,
     build_prompt,
@@ -187,6 +189,31 @@ def test_parse_failure_degrades_to_unknown():
 def test_classify_rule_is_pure():
     snippet = tm_snippet("class C { void checkServerTrusted(X509Certificate[] c, String a) { return; } }")
     assert classify_rule(snippet) == classify_rule(snippet) == {"T1"}
+
+
+def test_a_caller_that_changes_its_labels_changes_no_later_answer():
+    snippet = tm_snippet("class C { void checkServerTrusted(X509Certificate[] c, String a) { return; } }")
+    labels = classify_rule(snippet)
+    labels.add("T2-E")
+    assert classify_rule(snippet) == {"T1"}
+
+
+def test_a_body_copied_under_a_renamed_class_is_labelled_once(monkeypatch):
+    """A copy of a method body under another class gets the original's labels, and the
+    rules read the body once for the two."""
+    _labels.cache_clear()  # other tests may have labelled this body already
+    bodies = []
+    rules = classifier._classify_trust
+    monkeypatch.setattr(classifier, "_classify_trust", lambda body: bodies.append(body) or rules(body))
+    method = (
+        "public void checkServerTrusted(X509Certificate[] chain, String authType) {\n"
+        '    if (chain == null || chain.length == 0) throw new IllegalArgumentException("empty");\n'
+        "}"
+    )
+    original = tm_snippet(f"class PinningTM implements X509TrustManager {{\n{method}\n}}", "a", "com.a.PinningTM")
+    copy = tm_snippet(f"class b implements X509TrustManager {{\n{method}\n}}", "b", "com.obf.b")
+    assert classify_rule(original) == classify_rule(copy) == {"T2-B"}
+    assert len(bodies) == 1
 
 
 def test_brackets_and_slashes_inside_literals_are_not_code():

@@ -606,6 +606,16 @@ def test_report_prevalence_matches_recount(scan_dir, tmp_path):
     )
 
 
+def _fresh_python(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 def test_import_loads_no_llm_backend_module():
     """Only the LLM backends need HTTP and threads; importing the CLI loads neither."""
     modules = ["urllib.request", "http.client", "email.message", "concurrent.futures"]
@@ -613,10 +623,24 @@ def test_import_loads_no_llm_backend_module():
         "import sys, mitmscan.cli; "
         f"print([m for m in {modules!r} if m in sys.modules])"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_offline_commands_load_no_cryptography(scan_dir, tmp_path):
+    """locate, report and classify forge and check no certificate, so a process that
+    runs them never loads cryptography, even after the imports a scan's set-up makes."""
+    argvs = [
+        ["locate", "--events", str(scan_dir / "events.jsonl"),
+         "--ledger", str(scan_dir / "ledger_T1.jsonl"), "--out", str(tmp_path / "locate.json")],
+        ["report", "--scan", str(scan_dir), "--out", str(tmp_path / "report"), "--freeze-time"],
+        ["classify", "--corpus", CORPUS, "--out", str(tmp_path / "classify.json")],
+    ]
+    code = (
+        "import sys\n"
+        "from mitmscan import cli, fleet, party\n"
+        "from mitmscan.certforge import CertConfig\n"
+        "from mitmscan.engine import MitmMaterial\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "print(codes, [m for m in sys.modules if m.partition('.')[0] == 'cryptography'])"
+    )
+    assert _fresh_python(code).splitlines()[-1] == "[0, 0, 0] []"  # after the commands' own lines
